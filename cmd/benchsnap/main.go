@@ -166,13 +166,14 @@ func main() {
 			m["cell_128p_banks1_cells_per_sec"]
 
 		// Topology lanes: the same cell on the point-to-point fabrics
-		// (mesh at its natural 8x16 fold, full crossbar), banking off.
+		// (mesh at its natural 8x16 fold, full crossbar, 128-node ring —
+		// the slowest lane), banking off.
 		// Recording them next to the banked lanes keeps the two
 		// interconnect axes comparable; topology_scaling_128p is the
 		// mesh/single-bus cells-per-second ratio, and the fabrics'
 		// wait-cycles/msg undercutting cell_128p_banks4's is the tentpole
 		// payoff number (BenchmarkTopologyScaling is the interactive form).
-		for _, topo := range []string{"mesh", "xbar"} {
+		for _, topo := range []string{"mesh", "xbar", "ring"} {
 			rs := core.RunSpec{Trace: tr, Processors: 128, Seed: 42,
 				Configure: func(c *config.Config) {
 					c.Machine.Topology = topo

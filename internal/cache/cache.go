@@ -15,7 +15,7 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -26,13 +26,16 @@ import (
 var ErrOverflow = errors.New("cache: speculative state overflow")
 
 // line is one cache line's metadata. Data contents are not modeled — the
-// simulator tracks timing and coherence, not values.
+// simulator tracks timing and coherence, not values — but the commit
+// version of the data is: the owner records it with SetVersion, and a
+// refill of the slot starts it over at 0.
 type line struct {
-	tag   mem.LineAddr
-	valid bool
-	sr    bool // speculatively read this transaction
-	sm    bool // speculatively modified this transaction
-	lru   uint64
+	tag     mem.LineAddr
+	version uint64
+	valid   bool
+	sr      bool // speculatively read this transaction
+	sm      bool // speculatively modified this transaction
+	lru     uint64
 }
 
 // Stats counts cache events for reporting.
@@ -46,17 +49,18 @@ type Stats struct {
 
 // Cache is a set-associative L1 data cache with speculative bits.
 type Cache struct {
-	geom     *mem.Geometry
-	sets     int
-	ways     int
-	lines    []line // sets*ways, row-major by set
-	tick     uint64 // LRU clock
-	stats    Stats
-	specRead map[mem.LineAddr]struct{} // read-set (SR lines), for fast enumeration
-	specMod  map[mem.LineAddr]struct{} // write-set (SM lines)
-	// dropScratch backs ClearSpeculative's return slice, reused across
-	// calls so per-abort reporting is allocation-free in steady state.
-	dropScratch []mem.LineAddr
+	geom  *mem.Geometry
+	sets  int
+	ways  int
+	lines []line // sets*ways, row-major by set
+	tick  uint64 // LRU clock
+	stats Stats
+	// spec lists the slots that gained an SR or SM bit this transaction,
+	// so clearing the bits visits the footprint, not the whole cache. A
+	// slot refilled mid-transaction can appear twice; revisiting it is
+	// harmless. nRead and nMod count the lines carrying each bit.
+	spec        []int32
+	nRead, nMod int
 }
 
 // Config describes a cache shape.
@@ -80,12 +84,10 @@ func New(geom *mem.Geometry, cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: set count %d is not a power of two", sets)
 	}
 	return &Cache{
-		geom:     geom,
-		sets:     sets,
-		ways:     cfg.Ways,
-		lines:    make([]line, sets*cfg.Ways),
-		specRead: make(map[mem.LineAddr]struct{}),
-		specMod:  make(map[mem.LineAddr]struct{}),
+		geom:  geom,
+		sets:  sets,
+		ways:  cfg.Ways,
+		lines: make([]line, sets*cfg.Ways),
 	}, nil
 }
 
@@ -111,14 +113,20 @@ func (c *Cache) setOf(l mem.LineAddr) int {
 	return int(uint64(l) % uint64(c.sets))
 }
 
-func (c *Cache) find(l mem.LineAddr) *line {
-	set := c.setOf(l)
-	base := set * c.ways
-	for i := 0; i < c.ways; i++ {
-		ln := &c.lines[base+i]
-		if ln.valid && ln.tag == l {
-			return ln
+// slot returns the index of the valid line holding l, or -1.
+func (c *Cache) slot(l mem.LineAddr) int {
+	base := c.setOf(l) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if ln := &c.lines[i]; ln.valid && ln.tag == l {
+			return i
 		}
+	}
+	return -1
+}
+
+func (c *Cache) find(l mem.LineAddr) *line {
+	if i := c.slot(l); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -126,24 +134,18 @@ func (c *Cache) find(l mem.LineAddr) *line {
 // Present reports whether the line is valid in the cache.
 func (c *Cache) Present(l mem.LineAddr) bool { return c.find(l) != nil }
 
-// AccessResult describes the outcome of a load or store probe.
-type AccessResult struct {
-	Hit     bool
-	Victim  mem.LineAddr // line evicted to make room (valid only if Evicted)
-	Evicted bool
-}
-
 // Access performs a transactional load (write=false) or store (write=true)
-// of the line. On a hit it updates LRU and speculative bits. On a miss it
-// allocates the line, evicting the LRU way (never an SM line: if all ways
-// in the set hold SM lines the access fails with ErrOverflow).
-func (c *Cache) Access(l mem.LineAddr, write bool) (AccessResult, error) {
+// of the line and reports whether it hit. On a hit it updates LRU and
+// speculative bits. On a miss it allocates the line, evicting the LRU way
+// (never an SM line: if all ways in the set hold SM lines the access
+// fails with ErrOverflow).
+func (c *Cache) Access(l mem.LineAddr, write bool) (hit bool, err error) {
 	c.tick++
-	if ln := c.find(l); ln != nil {
+	if i := c.slot(l); i >= 0 {
 		c.stats.Hits++
-		ln.lru = c.tick
-		c.markSpec(ln, write)
-		return AccessResult{Hit: true}, nil
+		c.lines[i].lru = c.tick
+		c.markSpec(i, write)
+		return true, nil
 	}
 	c.stats.Misses++
 	set := c.setOf(l)
@@ -167,43 +169,42 @@ func (c *Cache) Access(l mem.LineAddr, write bool) (AccessResult, error) {
 	}
 	if victim < 0 {
 		c.stats.Overflows++
-		return AccessResult{}, ErrOverflow
+		return false, ErrOverflow
 	}
 	ln := &c.lines[base+victim]
-	res := AccessResult{}
 	if ln.valid {
 		c.stats.Evictions++
-		res.Victim = ln.tag
-		res.Evicted = true
 		c.dropSpec(ln)
 	}
 	*ln = line{tag: l, valid: true, lru: c.tick}
-	c.markSpec(ln, write)
-	return res, nil
+	c.markSpec(base+victim, write)
+	return false, nil
 }
 
-func (c *Cache) markSpec(ln *line, write bool) {
+func (c *Cache) markSpec(i int, write bool) {
+	ln := &c.lines[i]
+	if !ln.sr && !ln.sm {
+		c.spec = append(c.spec, int32(i))
+	}
 	if write {
 		if !ln.sm {
 			ln.sm = true
-			c.specMod[ln.tag] = struct{}{}
+			c.nMod++
 		}
-	} else {
-		if !ln.sr {
-			ln.sr = true
-			c.specRead[ln.tag] = struct{}{}
-		}
+	} else if !ln.sr {
+		ln.sr = true
+		c.nRead++
 	}
 }
 
 func (c *Cache) dropSpec(ln *line) {
 	if ln.sr {
-		delete(c.specRead, ln.tag)
 		ln.sr = false
+		c.nRead--
 	}
 	if ln.sm {
-		delete(c.specMod, ln.tag)
 		ln.sm = false
+		c.nMod--
 	}
 }
 
@@ -219,84 +220,83 @@ func (c *Cache) SpeculativelyModified(l mem.LineAddr) bool {
 	return ln != nil && ln.sm
 }
 
-// ReadSet returns the lines currently marked SR, in ascending line order.
-// Deterministic ordering matters: the commit sequence derives from this
-// slice and must not depend on map iteration order.
-func (c *Cache) ReadSet() []mem.LineAddr {
-	return sortedLines(c.specRead)
+// Version returns the commit version recorded for a resident line: 0 if
+// the line is absent or nothing was recorded since it was filled.
+func (c *Cache) Version(l mem.LineAddr) uint64 {
+	if ln := c.find(l); ln != nil {
+		return ln.version
+	}
+	return 0
 }
+
+// SetVersion records the commit version of the data a resident line
+// holds. It is a no-op for an absent line. The version leaves with the
+// line: eviction, Invalidate and an abort's drop of SM lines all forget
+// it, because a refilled slot starts over at 0.
+func (c *Cache) SetVersion(l mem.LineAddr, v uint64) {
+	if ln := c.find(l); ln != nil {
+		ln.version = v
+	}
+}
+
+// ReadSet returns the lines currently marked SR, in ascending line order.
+// The protocol never asks for it (the processor keeps its own line sets);
+// it serves tests and inspection.
+func (c *Cache) ReadSet() []mem.LineAddr { return c.marked(false) }
 
 // WriteSet returns the lines currently marked SM, in ascending line order.
-func (c *Cache) WriteSet() []mem.LineAddr {
-	return sortedLines(c.specMod)
-}
+func (c *Cache) WriteSet() []mem.LineAddr { return c.marked(true) }
 
-func sortedLines(set map[mem.LineAddr]struct{}) []mem.LineAddr {
-	out := make([]mem.LineAddr, 0, len(set))
-	for l := range set {
-		out = append(out, l)
+// marked lists the lines carrying the SM bit (sm) or the SR bit (!sm),
+// sorted and without the repeats a refilled slot leaves in spec.
+func (c *Cache) marked(sm bool) []mem.LineAddr {
+	var out []mem.LineAddr
+	for _, i := range c.spec {
+		if ln := &c.lines[i]; (sm && ln.sm) || (!sm && ln.sr) {
+			out = append(out, ln.tag)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ReadSetSize returns the number of SR lines.
-func (c *Cache) ReadSetSize() int { return len(c.specRead) }
+func (c *Cache) ReadSetSize() int { return c.nRead }
 
 // WriteSetSize returns the number of SM lines.
-func (c *Cache) WriteSetSize() int { return len(c.specMod) }
+func (c *Cache) WriteSetSize() int { return c.nMod }
 
 // ClearSpeculative flash-clears all SR/SM bits. Called on abort (discarding
 // the write-set: the lines' data is stale so they are also invalidated, as
-// TCC buffers new values in place) and on commit (keeping the data: lines
-// stay valid, bits clear). It returns the lines dropped from the cache
-// (non-empty only on abort), so the owner can discard their version
-// bookkeeping; the slice is reused scratch, valid only until the next call.
+// TCC buffers new values in place, and their versions go with them) and
+// on commit (keeping the data: lines stay valid with their versions, bits
+// clear).
 //
-// Only the lines in the speculative sets are visited — the sets mirror the
-// SR/SM bits exactly — so the cost scales with the transaction footprint,
-// not the cache size, and the set maps are cleared in place rather than
-// reallocated. The returned order follows map iteration: its only consumer
-// deletes version entries, which is order-independent, so determinism is
-// unaffected.
-func (c *Cache) ClearSpeculative(abort bool) (dropped []mem.LineAddr) {
-	if abort {
-		dropped = c.dropScratch[:0]
-		for l := range c.specMod {
-			if ln := c.find(l); ln != nil {
-				ln.valid = false // speculative data never became architectural
-				ln.sr, ln.sm = false, false
-				dropped = append(dropped, l)
-			}
+// Only the slots listed in spec are visited — every slot holding a bit is
+// there — so the cost scales with the transaction footprint, not the
+// cache size.
+func (c *Cache) ClearSpeculative(abort bool) {
+	for _, i := range c.spec {
+		ln := &c.lines[i]
+		if abort && ln.sm {
+			ln.valid = false // speculative data never became architectural
 		}
-		c.dropScratch = dropped
-	} else {
-		for l := range c.specMod {
-			if ln := c.find(l); ln != nil {
-				ln.sm = false
-			}
-		}
+		ln.sr, ln.sm = false, false
 	}
-	for l := range c.specRead {
-		if ln := c.find(l); ln != nil {
-			ln.sr = false
-		}
-	}
-	clear(c.specRead)
-	clear(c.specMod)
-	return dropped
+	c.spec = c.spec[:0]
+	c.nRead, c.nMod = 0, 0
 }
 
 // Reset returns the cache to its post-construction state — every line
-// invalid, LRU clock at zero, counters and speculative sets cleared —
-// keeping the line array, the set maps' storage, and the drop scratch, so
-// a reused cache warms up without reallocating.
+// invalid, LRU clock at zero, counters and speculative bits cleared —
+// keeping the line array and the slot list's storage, so a reused cache
+// warms up without reallocating.
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.tick = 0
 	c.stats = Stats{}
-	clear(c.specRead)
-	clear(c.specMod)
+	c.spec = c.spec[:0]
+	c.nRead, c.nMod = 0, 0
 }
 
 // Invalidate drops the line if present (coherence invalidation from a

@@ -45,13 +45,13 @@ func TestNewValidation(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	c := small(t)
-	res, err := c.Access(100, false)
-	if err != nil || res.Hit {
-		t.Fatalf("first access: res=%+v err=%v, want miss", res, err)
+	hit, err := c.Access(100, false)
+	if err != nil || hit {
+		t.Fatalf("first access: hit=%v err=%v, want miss", hit, err)
 	}
-	res, err = c.Access(100, false)
-	if err != nil || !res.Hit {
-		t.Fatalf("second access: res=%+v err=%v, want hit", res, err)
+	hit, err = c.Access(100, false)
+	if err != nil || !hit {
+		t.Fatalf("second access: hit=%v err=%v, want hit", hit, err)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
@@ -101,15 +101,14 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(0, false)
 	c.Access(4, false)
 	c.Access(0, false) // touch 0: 4 becomes LRU
-	res, err := c.Access(8, false)
-	if err != nil {
+	if _, err := c.Access(8, false); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Evicted || res.Victim != 4 {
-		t.Fatalf("expected eviction of line 4, got %+v", res)
-	}
 	if !c.Present(0) || c.Present(4) || !c.Present(8) {
-		t.Fatal("wrong residency after eviction")
+		t.Fatal("wrong residency after eviction: want line 4 evicted")
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Fatalf("Evictions = %d, want 1", ev)
 	}
 }
 
@@ -131,12 +130,11 @@ func TestSMLinesPinnedAgainstEviction(t *testing.T) {
 	c.Access(0, true) // SM
 	c.Access(4, false)
 	// New line in the same set must evict the clean line 4, not SM line 0.
-	res, err := c.Access(8, false)
-	if err != nil {
+	if _, err := c.Access(8, false); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Evicted || res.Victim != 4 {
-		t.Fatalf("expected clean victim 4, got %+v", res)
+	if c.Present(4) || !c.Present(8) {
+		t.Fatal("expected clean victim 4")
 	}
 	if !c.SpeculativelyModified(0) {
 		t.Fatal("SM line was evicted")
@@ -182,6 +180,53 @@ func TestClearSpeculativeAbortDropsWrittenLines(t *testing.T) {
 	}
 	if c.Present(2) {
 		t.Fatal("abort-clear kept a speculatively written line")
+	}
+	if c.SpeculativelyRead(1) || c.ReadSetSize() != 0 || c.WriteSetSize() != 0 {
+		t.Fatal("abort-clear left speculative bits")
+	}
+	// The dropped slot is free again: refilling line 2 is a miss.
+	if hit, err := c.Access(2, false); err != nil || hit {
+		t.Fatalf("refill of dropped line 2: hit=%v err=%v, want miss", hit, err)
+	}
+}
+
+// TestLineVersion pins the per-line commit version: it reads back while
+// the line stays resident, including across a commit's clear and, for a
+// read-only line, an abort's; it leaves with the line on eviction,
+// Invalidate and an abort's drop of SM lines, and a refill starts it at 0.
+func TestLineVersion(t *testing.T) {
+	const l = mem.LineAddr(0) // lines 4 and 8 share its set in small()
+	load := func(c *Cache) { c.Access(l, false); c.SetVersion(l, 7) }
+	store := func(c *Cache) { c.Access(l, true); c.SetVersion(l, 7) }
+	cases := []struct {
+		name  string
+		steps func(c *Cache)
+		want  uint64
+	}{
+		{"resident line reads back", load, 7},
+		{"evicted", func(c *Cache) { load(c); c.Access(4, false); c.Access(8, false) }, 0},
+		{"evicted and refilled", func(c *Cache) {
+			load(c)
+			c.Access(4, false)
+			c.Access(8, false)
+			c.Access(l, false)
+		}, 0},
+		{"invalidated", func(c *Cache) { load(c); c.Invalidate(l) }, 0},
+		{"invalidated and refilled", func(c *Cache) { load(c); c.Invalidate(l); c.Access(l, false) }, 0},
+		{"abort drops SM line", func(c *Cache) { store(c); c.ClearSpeculative(true) }, 0},
+		{"abort drop and refill", func(c *Cache) { store(c); c.ClearSpeculative(true); c.Access(l, false) }, 0},
+		{"commit keeps SM line", func(c *Cache) { store(c); c.ClearSpeculative(false) }, 7},
+		{"abort keeps SR line", func(c *Cache) { load(c); c.ClearSpeculative(true) }, 7},
+		{"SetVersion on absent line is a no-op", func(c *Cache) { c.SetVersion(l, 7); c.Access(l, false) }, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := small(t)
+			tc.steps(c)
+			if got := c.Version(l); got != tc.want {
+				t.Fatalf("Version = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

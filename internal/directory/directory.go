@@ -73,7 +73,7 @@ type ProcessorPort interface {
 // The epoch stamps which run of a reused directory the state belongs to:
 // a lookup that finds an entry from an earlier epoch treats it as absent
 // and reinitializes it in place, which lets Reset invalidate the whole
-// line table in O(1) instead of clearing a map that can hold a run's
+// line table in O(1) instead of clearing an index that can hold a run's
 // entire footprint.
 type lineState struct {
 	owner   int
@@ -84,37 +84,31 @@ type lineState struct {
 }
 
 // arenaChunk is the lineState allocation batch. Chunked allocation keeps
-// every previously handed-out pointer stable (the lines map stores
-// pointers across runs) while amortizing one heap allocation over many
-// lines.
+// every previously handed-out pointer stable while amortizing one heap
+// allocation over many lines.
 const arenaChunk = 1024
 
-// retainedLinesMax bounds the line table carried across Reset. A stream
-// of cells with disjoint footprints would otherwise grow the map without
-// bound; above the limit Reset rebuilds the table and rewinds the arena.
+// retainedLinesMax bounds the line index carried across Reset. A stream
+// of cells with disjoint footprints would otherwise grow it without
+// bound; above the limit Reset starts a new index, whose dense indices
+// reuse the arena from the start.
 const retainedLinesMax = 1 << 20
 
-// lineArena allocates lineStates in chunks. reset rewinds it for reuse —
-// only valid together with dropping every map that points into it.
+// lineArena holds the lineStates in chunks, addressed by the line's dense
+// index in the directory's line set.
 type lineArena struct {
 	chunks [][]lineState
-	ci, li int // next free chunk / index within it
 }
 
-func (a *lineArena) alloc() *lineState {
-	if a.ci == len(a.chunks) {
+// at returns the state slot for dense index i. Indices are handed out
+// densely, so a miss is always the first index past the last chunk.
+func (a *lineArena) at(i int) *lineState {
+	c := i / arenaChunk
+	if c == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]lineState, arenaChunk))
 	}
-	c := a.chunks[a.ci]
-	ls := &c[a.li]
-	if a.li++; a.li == len(c) {
-		a.ci++
-		a.li = 0
-	}
-	return ls
+	return &a.chunks[c][i%arenaChunk]
 }
-
-func (a *lineArena) reset() { a.ci, a.li = 0, 0 }
 
 // gateEntry is one row of the paper's Fig. 1 table.
 type gateEntry struct {
@@ -180,9 +174,10 @@ type Directory struct {
 	procs    []ProcessorPort
 	counters *stats.Counters
 
-	// lines maps a line to its arena-backed state. Entries survive Reset
-	// (bounded by retainedLinesMax); the epoch stamp decides liveness.
-	lines       map[mem.LineAddr]*lineState
+	// lines indexes every line this directory has touched; a line's dense
+	// index addresses its state in the arena. Entries survive Reset
+	// (bounded by retainedLinesMax); the lineState epoch decides liveness.
+	lines       mem.LineSet
 	arena       lineArena
 	epoch       uint64
 	nextFreeDir sim.Time // directory pipeline availability
@@ -418,7 +413,6 @@ func New(id int, eng *sim.Engine, b bus.Interconnect, cfg config.Machine, gcfg c
 		gcfg:      gcfg,
 		policy:    policy,
 		counters:  counters,
-		lines:     make(map[mem.LineAddr]*lineState),
 		epoch:     1, // zero-valued arena entries must never look current
 		marked:    make([]tokens.TID, cfg.Processors),
 		announced: make([]bool, cfg.Processors),
@@ -450,7 +444,7 @@ func (d *Directory) SetRecorder(r *trace.Recorder) { d.rec = r }
 // same machine shape, taking the new run's gating knobs and contention
 // policy (the only construction inputs a variant sweep changes). The line
 // table survives as stale-epoch arena entries — reinitialized lazily on
-// first touch, rebuilt wholesale only above retainedLinesMax — and the
+// first touch, its index rebuilt only above retainedLinesMax — and the
 // FIFO ring, gate table and pooled-op free lists keep their storage. The caller
 // must have reset the engine first: pending reads, commit steps and
 // gating timers are assumed discarded. A reset directory is observably
@@ -459,9 +453,8 @@ func (d *Directory) Reset(gcfg config.Gating, policy cm.Policy) {
 	d.gcfg = gcfg
 	d.policy = policy
 	d.epoch++
-	if len(d.lines) > retainedLinesMax {
-		d.lines = make(map[mem.LineAddr]*lineState)
-		d.arena.reset()
+	if d.lines.Len() > retainedLinesMax {
+		d.lines = mem.LineSet{}
 	}
 	d.nextFreeDir = 0
 	d.nextFreeMem = 0
@@ -504,11 +497,8 @@ func maxTime(a, b sim.Time) sim.Time {
 // reusing a stale-epoch entry in place when one exists — on first touch
 // this run.
 func (d *Directory) line(l mem.LineAddr) *lineState {
-	ls, ok := d.lines[l]
-	if !ok {
-		ls = d.arena.alloc()
-		d.lines[l] = ls
-	}
+	i, _ := d.lines.Add(l)
+	ls := d.arena.at(i)
 	if ls.epoch != d.epoch {
 		*ls = lineState{owner: -1, epoch: d.epoch}
 	}
@@ -518,8 +508,10 @@ func (d *Directory) line(l mem.LineAddr) *lineState {
 // lookup returns the live state of l, or nil if the line has not been
 // touched this run (entries from earlier epochs are treated as absent).
 func (d *Directory) lookup(l mem.LineAddr) *lineState {
-	if ls, ok := d.lines[l]; ok && ls.epoch == d.epoch {
-		return ls
+	if i, ok := d.lines.Find(l); ok {
+		if ls := d.arena.at(i); ls.epoch == d.epoch {
+			return ls
+		}
 	}
 	return nil
 }

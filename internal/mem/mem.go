@@ -1,6 +1,7 @@
 // Package mem defines the physical-memory geometry shared by the cache,
 // directory and processor models: addresses, cache-line arithmetic, and the
-// interleaving of lines across directories.
+// interleaving of lines across directories. It also holds LineSet, the
+// line index the directory and processor hot paths share.
 //
 // The baseline system (paper Table II) is a distributed-shared-memory
 // machine in the style of Scalable TCC: physical memory is split into

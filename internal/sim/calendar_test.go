@@ -160,6 +160,9 @@ func TestCalendarMatchesReferenceHeap(t *testing.T) {
 		{"priorities", 200, 3},
 		{"overflow-heavy", 100000, 2},
 		{"mixed-horizon", 5000, 4},
+		// Nearly every event shares its cycle with others of all three
+		// priorities: ring FIFOs and the heap interleave within a cycle.
+		{"dense-same-cycle", 4, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,9 +11,11 @@
 // # Event queue
 //
 // The queue is a bucketed calendar queue sized for hardware-speed cascades:
-// events within the next `window` cycles land in a per-cycle ring bucket
-// (O(1) insert, O(bucket) dispatch), and the rare far-future events — long
-// gating timers, watchdogs — go to a small binary-heap overflow. Fired
+// priority-0 events within the next `window` cycles land in a per-cycle
+// ring bucket, a FIFO in schedule order (O(1) insert and dispatch). The
+// rest — far-future events such as long gating timers, and every event of
+// another priority — go to a small binary-heap overflow that dispatch
+// merges with the ring by the same (time, priority, sequence) order. Fired
 // events return to a free list, so Schedule and dispatch are
 // allocation-free in steady state; the allocation guard in
 // calendar_test.go pins that property.
@@ -101,27 +103,38 @@ type Engine struct {
 	fired   uint64
 	stopped bool
 
-	// ring holds near-future events, one bucket per cycle of the
-	// [now, now+window) span; bucket index is the cycle modulo window.
+	// ring holds near-future priority-0 events, one bucket per cycle of
+	// the [now, now+window) span; bucket index is the cycle modulo window.
 	// At any instant every event in one bucket shares the same absolute
 	// time, because only times within the window are inserted.
-	ring    [][]*event
+	ring    []bucket
 	ringCnt int
 	// ringNext is a lower bound on the earliest event time in the ring,
 	// valid while ringCnt > 0; the dispatch scan starts here.
 	ringNext Time
 
 	// over is a binary min-heap (by the same (time, priority, seq)
-	// order) of events scheduled at or beyond now+window.
+	// order) of events scheduled at or beyond now+window, or with a
+	// non-zero priority.
 	over []*event
 
 	free   []*event
 	queued int
 }
 
+// bucket is one cycle's FIFO of priority-0 events. Events share one time
+// and one priority, and sequence numbers grow with every Schedule, so
+// append order is dispatch order: the live events are evs[head:].
+type bucket struct {
+	evs  []*event
+	head int
+}
+
+func (b *bucket) empty() bool { return b.head == len(b.evs) }
+
 // NewEngine returns an engine with the clock at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{ring: make([][]*event, window)}
+	return &Engine{ring: make([]bucket, window)}
 }
 
 // Reset returns the engine to its initial state — clock at cycle zero,
@@ -135,13 +148,13 @@ func NewEngine() *Engine {
 // a NewEngine to every observer of the public API, which is what lets a
 // reused simulated machine reproduce a fresh one bit for bit.
 func (e *Engine) Reset() {
-	for b := range e.ring {
-		bucket := e.ring[b]
-		for i, ev := range bucket {
+	for i := range e.ring {
+		b := &e.ring[i]
+		for _, ev := range b.evs[b.head:] {
 			e.recycle(ev)
-			bucket[i] = nil
 		}
-		e.ring[b] = bucket[:0]
+		clear(b.evs)
+		b.evs, b.head = b.evs[:0], 0
 	}
 	for i, ev := range e.over {
 		e.recycle(ev)
@@ -179,7 +192,8 @@ func (e *Engine) ScheduleAfter(delay Time, fn func()) EventRef {
 }
 
 // ScheduleWithPriority runs fn at time at; among events scheduled for the
-// same cycle, lower priority values run first.
+// same cycle, lower priority values run first. Non-zero priorities take
+// the overflow heap, so they suit rare events such as end-of-cycle rounds.
 func (e *Engine) ScheduleWithPriority(at Time, priority int, fn func()) EventRef {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
@@ -191,9 +205,9 @@ func (e *Engine) ScheduleWithPriority(at Time, priority int, fn func()) EventRef
 	ev.at, ev.priority, ev.seq, ev.fn, ev.canceled = at, priority, e.seq, fn, false
 	e.seq++
 	e.queued++
-	if at-e.now < window {
-		b := at & windowMask
-		e.ring[b] = append(e.ring[b], ev)
+	if priority == 0 && at-e.now < window {
+		b := &e.ring[at&windowMask]
+		b.evs = append(b.evs, ev)
 		if e.ringCnt == 0 || at < e.ringNext {
 			e.ringNext = at
 		}
@@ -228,7 +242,7 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) nextTime() (Time, bool) {
 	if e.ringCnt > 0 {
 		t := e.ringNext
-		for len(e.ring[t&windowMask]) == 0 {
+		for e.ring[t&windowMask].empty() {
 			t++
 		}
 		e.ringNext = t
@@ -243,20 +257,6 @@ func (e *Engine) nextTime() (Time, bool) {
 	return 0, false
 }
 
-// bucketMin returns the index of the (priority, seq)-minimal event in a
-// bucket. All events in a bucket share one time, so no time comparison is
-// needed.
-func bucketMin(b []*event) int {
-	mi := 0
-	for i := 1; i < len(b); i++ {
-		ev, m := b[i], b[mi]
-		if ev.priority < m.priority || (ev.priority == m.priority && ev.seq < m.seq) {
-			mi = i
-		}
-	}
-	return mi
-}
-
 // fireNext executes the single next live event if its time is ≤ limit,
 // discarding canceled events it meets on the way. It reports whether an
 // event fired.
@@ -269,33 +269,20 @@ func (e *Engine) fireNext(limit Time) bool {
 		if !ok || t > limit {
 			return false
 		}
+		// The bucket's head is its (priority, seq)-minimal event; the heap
+		// head competes with it under the full dispatch order.
 		var ev *event
-		fromRing := false
-		b := e.ring[t&windowMask]
-		bi := -1
-		if len(b) > 0 && b[0].at == t {
-			bi = bucketMin(b)
-		}
-		switch {
-		case bi >= 0 && len(e.over) > 0 && e.over[0].at == t:
-			if less(b[bi], e.over[0]) {
-				ev, fromRing = b[bi], true
-			} else {
-				ev = e.over[0]
+		b := &e.ring[t&windowMask]
+		if !b.empty() && b.evs[b.head].at == t &&
+			(len(e.over) == 0 || less(b.evs[b.head], e.over[0])) {
+			ev = b.evs[b.head]
+			b.evs[b.head] = nil
+			if b.head++; b.empty() {
+				b.evs, b.head = b.evs[:0], 0
 			}
-		case bi >= 0:
-			ev, fromRing = b[bi], true
-		default:
-			ev = e.over[0]
-		}
-		if fromRing {
-			n := len(b) - 1
-			b[bi] = b[n]
-			b[n] = nil
-			e.ring[t&windowMask] = b[:n]
 			e.ringCnt--
 		} else {
-			e.overPop()
+			ev = e.overPop()
 		}
 		e.queued--
 		if ev.canceled {

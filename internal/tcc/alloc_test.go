@@ -15,12 +15,12 @@ import (
 // invOp/evalOp/txInfoOp in internal/directory), so simulating costs no
 // allocation per event. Two bounds pin the two construction modes:
 //
-//   - Fresh: NewSystem per run. Measures ~8.3k allocations per pair —
-//     essentially all construction (engine, directories, caches, maps).
-//     Before the pools this path measured ~95k.
+//   - Fresh: NewSystem per run. Measures ~8.6k allocations per pair —
+//     essentially all construction (engine, directories, caches, line
+//     sets). Before the pools this path measured ~95k.
 //   - Reused: one System Reset in place between runs, the session pool
 //     workers' steady state. Measures ~45 allocations per pair (the
-//     ledger, the Result, and amortized map and slice growth).
+//     ledger, the Result, and amortized slice growth).
 //
 // Any return of per-event closure allocation costs thousands per run and
 // fails both bounds. BENCH_engine.json records the trajectory

@@ -122,21 +122,24 @@ type Processor struct {
 	opIdx    int
 	attempts int // execution attempts of the current transaction
 
-	readSet  map[mem.LineAddr]struct{}
-	writeSet map[mem.LineAddr]struct{}
-	// versions records, for every line resident in the L1, the commit
-	// version of the data the cache holds. readVersions snapshots the
-	// version each line had when this transaction first read it; the
-	// commit-time validation phase compares those snapshots against the
-	// directories' current versions (Scalable TCC's validation).
-	versions     map[mem.LineAddr]uint64
-	readVersions map[mem.LineAddr]uint64
-	// announcedDirs tracks the home directories that have received this
-	// transaction's eager store-address announcements (Scalable TCC
-	// communicates write addresses during execution; data moves at
-	// commit). The announcement is what keeps the directory's "Marked"
-	// bit set for the renewal check while the transaction executes.
-	announcedDirs map[int]bool
+	// readSet and writeSet are the transaction's speculative line sets.
+	// readVersions runs parallel to readSet (indexed by a line's dense
+	// index in it): the commit version the line had when this transaction
+	// first read it, 0 until that read completes. The commit-time
+	// validation phase compares those snapshots against the directories'
+	// current versions (Scalable TCC's validation). The version of the
+	// data the L1 holds lives with the cache line (cache.Version).
+	readSet      mem.LineSet
+	readVersions []uint64
+	writeSet     mem.LineSet
+	// announced flags, per directory, the home directories that have
+	// received this transaction's eager store-address announcements
+	// (Scalable TCC communicates write addresses during execution; data
+	// moves at commit); announcedDirs lists the flagged ones. The
+	// announcement is what keeps the directory's "Marked" bit set for the
+	// renewal check while the transaction executes.
+	announced     []bool
+	announcedDirs []int
 
 	tid         tokens.TID
 	commitDirs  []int // directories the current commit touches, ascending
@@ -176,11 +179,13 @@ type Processor struct {
 // state the old per-miss closures closed over; gen guards it against the
 // requesting transaction dying while the round trip is in flight.
 type missOp struct {
-	p        *Processor
-	dir      *directory.Directory
-	line     mem.LineAddr
-	gen      uint64
-	read     bool
+	p    *Processor
+	dir  *directory.Directory
+	line mem.LineAddr
+	gen  uint64
+	// snap is the read-set index whose version snapshot the reply fills
+	// (the transaction's first read of the line), or -1.
+	snap     int
 	resident bool
 	sendFn   func()
 	replyFn  func(version uint64)
@@ -330,17 +335,13 @@ func (p *Processor) wakeFired(w *wakeOp) {
 
 func newProcessor(id int, sys *System, l1 *cache.Cache, thread *workload.Thread) *Processor {
 	p := &Processor{
-		id:            id,
-		sys:           sys,
-		l1:            l1,
-		thread:        thread,
-		state:         stateIdle,
-		readSet:       make(map[mem.LineAddr]struct{}),
-		writeSet:      make(map[mem.LineAddr]struct{}),
-		versions:      make(map[mem.LineAddr]uint64),
-		readVersions:  make(map[mem.LineAddr]uint64),
-		announcedDirs: make(map[int]bool),
-		dirFlag:       make([]bool, sys.cfg.Machine.Directories),
+		id:        id,
+		sys:       sys,
+		l1:        l1,
+		thread:    thread,
+		state:     stateIdle,
+		announced: make([]bool, sys.cfg.Machine.Directories),
+		dirFlag:   make([]bool, sys.cfg.Machine.Directories),
 	}
 	p.advanceFn = func() {
 		p.pending = sim.EventRef{}
@@ -364,7 +365,7 @@ func newProcessor(id int, sys *System, l1 *cache.Cache, thread *workload.Thread)
 
 // reset rewires the processor onto a new thread and returns every piece
 // of run state to its post-newProcessor value, keeping the allocated
-// storage: the speculative-set maps and scratch buffers clear in place,
+// storage: the speculative line sets and scratch buffers clear in place,
 // the L1 flash-invalidates, and the pooled round-trip free lists survive
 // (ops that were in flight when the previous run ended were dropped with
 // the engine's events and simply leave the pool smaller). The state is
@@ -378,11 +379,11 @@ func (p *Processor) reset(thread *workload.Thread) {
 	p.txIdx = 0
 	p.opIdx = 0
 	p.attempts = 0
-	clear(p.readSet)
-	clear(p.writeSet)
-	clear(p.versions)
-	clear(p.readVersions)
-	clear(p.announcedDirs)
+	p.readSet.Clear()
+	p.readVersions = p.readVersions[:0]
+	p.writeSet.Clear()
+	clear(p.announced)
+	p.announcedDirs = p.announcedDirs[:0]
 	p.tid = tokens.TIDNone
 	p.commitDirs = p.commitDirs[:0]
 	p.commitsLeft = 0
@@ -470,17 +471,19 @@ func (p *Processor) step() {
 		case workload.OpRead, workload.OpWrite:
 			write := op.Kind == workload.OpWrite
 			hit, inserted := p.accessCache(op.Line, write)
+			snap := -1
 			if write {
-				p.writeSet[op.Line] = struct{}{}
+				p.writeSet.Add(op.Line)
 				p.announceIntent(op.Line)
-			} else {
-				p.readSet[op.Line] = struct{}{}
+			} else if i, first := p.readSet.Add(op.Line); first {
+				// Snapshot the version of the data the first time this
+				// transaction reads the line: now on a hit, from the
+				// reply on a miss.
+				p.readVersions = append(p.readVersions, 0)
 				if hit {
-					// Snapshot the version of the cached data the first
-					// time this transaction reads the line.
-					if _, ok := p.readVersions[op.Line]; !ok {
-						p.readVersions[op.Line] = p.versions[op.Line]
-					}
+					p.readVersions[i] = p.l1.Version(op.Line)
+				} else {
+					snap = i
 				}
 			}
 			if hit {
@@ -488,7 +491,7 @@ func (p *Processor) step() {
 				p.pending = p.sys.eng.ScheduleAfter(p.sys.cfg.Machine.L1HitCycles, p.advanceFn)
 				return
 			}
-			p.issueMiss(op.Line, !write, inserted)
+			p.issueMiss(op.Line, snap, inserted)
 			return
 		default:
 			panic(fmt.Sprintf("tcc: processor %d: bad op kind %d", p.id, op.Kind))
@@ -502,20 +505,14 @@ func (p *Processor) step() {
 // timing state degrades. Real TCC would serialize the transaction; the
 // paper's workloads never overflow a 64 KB L1, but tiny-cache tests do.
 func (p *Processor) accessCache(l mem.LineAddr, write bool) (hit, resident bool) {
-	res, err := p.l1.Access(l, write)
+	hit, err := p.l1.Access(l, write)
 	if err == nil {
-		if res.Evicted {
-			delete(p.versions, res.Victim)
-		}
-		return res.Hit, true
+		return hit, true
 	}
 	p.sys.counters.Overflows++
-	res, err = p.l1.Access(l, false)
+	hit, err = p.l1.Access(l, false)
 	if err == nil {
-		if res.Evicted {
-			delete(p.versions, res.Victim)
-		}
-		return res.Hit, true
+		return hit, true
 	}
 	// Even the read allocation failed: bypass the cache entirely and
 	// charge a miss.
@@ -529,10 +526,11 @@ func (p *Processor) accessCache(l mem.LineAddr, write bool) (hit, resident bool)
 // the in-flight announcement via the generation guard.
 func (p *Processor) announceIntent(l mem.LineAddr) {
 	home := p.sys.geom.HomeDir(l)
-	if p.announcedDirs[home] {
+	if p.announced[home] {
 		return
 	}
-	p.announcedDirs[home] = true
+	p.announced[home] = true
+	p.announcedDirs = append(p.announcedDirs, home)
 	a := p.getAnnounce()
 	a.dir, a.gen = p.sys.dirs[home], p.gen
 	p.sys.bus.Send(p.id, p.sys.dirNode(home), p.sys.lineBank(l), a.fn)
@@ -552,23 +550,25 @@ func (p *Processor) announceDelivered(a *announceOp) {
 }
 
 // withdrawIntents clears this transaction's announcements everywhere.
+// Each withdrawal only lowers a flag, so the walk order cannot matter.
 func (p *Processor) withdrawIntents() {
-	for di := range p.announcedDirs {
+	for _, di := range p.announcedDirs {
 		p.sys.dirs[di].WithdrawIntent(p.id)
+		p.announced[di] = false
 	}
-	clear(p.announcedDirs)
+	p.announcedDirs = p.announcedDirs[:0]
 }
 
 // issueMiss sends a read request to the line's home directory and stalls.
 // The reply carries the commit version of the delivered data: it refreshes
-// the resident-line version table and, for reads, snapshots the
-// transaction's read version.
-func (p *Processor) issueMiss(l mem.LineAddr, read, resident bool) {
+// the resident line's version and, when snap names a read-set index,
+// snapshots the transaction's read version there.
+func (p *Processor) issueMiss(l mem.LineAddr, snap int, resident bool) {
 	p.setState(stateWaitMiss)
 	home := p.sys.geom.HomeDir(l)
 	m := p.getMiss()
 	m.dir = p.sys.dirs[home]
-	m.line, m.gen, m.read, m.resident = l, p.gen, read, resident
+	m.line, m.gen, m.snap, m.resident = l, p.gen, snap, resident
 	p.sys.bus.Send(p.id, p.sys.dirNode(home), p.sys.lineBank(l), m.sendFn)
 }
 
@@ -577,21 +577,19 @@ func (p *Processor) issueMiss(l mem.LineAddr, read, resident bool) {
 // any further work: p.step() below may issue the next miss, which is
 // then free to reuse it.
 func (p *Processor) missReply(m *missOp, version uint64) {
-	l, gen, read, resident := m.line, m.gen, m.read, m.resident
+	l, gen, snap, resident := m.line, m.gen, m.snap, m.resident
 	m.dir = nil
 	p.missFree = append(p.missFree, m)
 	// The fill lands in the cache whatever the fate of the transaction
 	// that requested it.
-	if resident && p.l1.Present(l) {
-		p.versions[l] = version
+	if resident {
+		p.l1.SetVersion(l, version)
 	}
 	if p.gen != gen {
 		return // transaction died while the miss was in flight
 	}
-	if read {
-		if _, ok := p.readVersions[l]; !ok {
-			p.readVersions[l] = version
-		}
+	if snap >= 0 {
+		p.readVersions[snap] = version
 	}
 	p.setState(stateRunTx)
 	p.opIdx++
@@ -602,7 +600,7 @@ func (p *Processor) missReply(m *missOp, version uint64) {
 // commit locally: with nothing to publish, TCC needs no token and no
 // directory writes. Writing transactions request a TID.
 func (p *Processor) reachCommitPoint() {
-	if len(p.writeSet) == 0 {
+	if p.writeSet.Len() == 0 {
 		p.stats.ReadOnlyCommits++
 		p.completeCommit()
 		return
@@ -644,7 +642,7 @@ func (p *Processor) tokenReply(t *tokenOp) {
 func (p *Processor) enterCommitQueue() {
 	p.setState(stateCommitWait)
 	p.commitDirs = p.commitDirs[:0]
-	for l := range p.writeSet {
+	for _, l := range p.writeSet.Keys() {
 		home := p.sys.geom.HomeDir(l)
 		if !p.dirFlag[home] {
 			p.dirFlag[home] = true
@@ -662,12 +660,12 @@ func (p *Processor) enterCommitQueue() {
 }
 
 // readDirs returns the home directories of the read-set, deduplicated,
-// in a per-processor scratch buffer valid until the next call. The order
-// is unspecified: the only consumer ANDs HasOlderMark over the set, which
-// is order-independent.
+// in a per-processor scratch buffer valid until the next call. They come
+// in the read-set's insertion order, though no order could leak: the only
+// consumer ANDs HasOlderMark over the set.
 func (p *Processor) readDirs() []int {
 	out := p.readDirsBuf[:0]
-	for l := range p.readSet {
+	for _, l := range p.readSet.Keys() {
 		home := p.sys.geom.HomeDir(l)
 		if !p.dirFlag[home] {
 			p.dirFlag[home] = true
@@ -687,9 +685,9 @@ func (p *Processor) readDirs() []int {
 // read-set while our invalidation was still in flight; the transaction
 // aborts instead of committing.
 func (p *Processor) validateReadSet() bool {
-	for l := range p.readSet {
+	for i, l := range p.readSet.Keys() {
 		home := p.sys.geom.HomeDir(l)
-		if p.sys.dirs[home].Version(l) != p.readVersions[l] {
+		if p.sys.dirs[home].Version(l) != p.readVersions[i] {
 			return false
 		}
 	}
@@ -717,10 +715,7 @@ func (p *Processor) grant() {
 	// group of the scratch buffer. The sub-slices stay untouched until
 	// every directory's commit walk completes (completeCommit runs only
 	// after the last one), so handing them to BeginCommit is safe.
-	lines := p.commitScratch[:0]
-	for l := range p.writeSet {
-		lines = append(lines, l)
-	}
+	lines := append(p.commitScratch[:0], p.writeSet.Keys()...)
 	p.commitScratch = lines
 	geom := p.sys.geom
 	slices.SortFunc(lines, p.homeCmp)
@@ -772,12 +767,10 @@ func (p *Processor) finishThread() {
 // clearSpec flash-clears speculative state. abort=true also drops the
 // speculatively written lines from the cache.
 func (p *Processor) clearSpec(abort bool) {
-	for _, l := range p.l1.ClearSpeculative(abort) {
-		delete(p.versions, l)
-	}
-	clear(p.readSet)
-	clear(p.writeSet)
-	clear(p.readVersions)
+	p.l1.ClearSpeculative(abort)
+	p.readSet.Clear()
+	p.readVersions = p.readVersions[:0]
+	p.writeSet.Clear()
 	p.withdrawIntents()
 }
 
@@ -812,7 +805,6 @@ func (p *Processor) abortCurrent(restart bool) {
 func (p *Processor) DeliverInvalidation(line mem.LineAddr, aborter, dir int) bool {
 	// Drop the line from the cache regardless of transactional outcome.
 	p.l1.Invalidate(line)
-	delete(p.versions, line)
 	switch p.state {
 	case stateCommitting, stateDone, stateIdle:
 		// Commit-immune, finished, or not yet started: no abort.
@@ -824,7 +816,7 @@ func (p *Processor) DeliverInvalidation(line mem.LineAddr, aborter, dir int) boo
 		// directory would double-count).
 		return false
 	}
-	if _, ok := p.readSet[line]; !ok {
+	if _, ok := p.readSet.Find(line); !ok {
 		return false // write-only overlap: TCC write-write is not a conflict
 	}
 	p.stats.Aborts++
@@ -873,9 +865,7 @@ func (p *Processor) Gated() bool { return p.state == stateGated }
 // version assigned to one of our own committed lines, whose data stays
 // valid in the L1 after the commit.
 func (p *Processor) NoteLineCommitted(l mem.LineAddr, version uint64) {
-	if p.l1.Present(l) {
-		p.versions[l] = version
-	}
+	p.l1.SetVersion(l, version)
 }
 
 // TxInfo implements directory.ProcessorPort: the id of the transaction
