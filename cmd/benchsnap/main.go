@@ -1,9 +1,9 @@
 // Command benchsnap records the engine's perf trajectory: it benchmarks
 // the simulation hot path (calendar-queue engine, batched bus, a full
-// 32-processor paired run-cell) with testing.Benchmark and writes the
-// numbers as one JSON document, BENCH_engine.json by convention. CI runs
-// it in the bench smoke step so every build leaves a machine-readable
-// perf record next to the logs.
+// 32-processor paired run-cell) and one campaign sweep with
+// testing.Benchmark and writes the numbers as one JSON document,
+// BENCH_engine.json by convention. CI runs it in the bench smoke step so
+// every build leaves a machine-readable perf record next to the logs.
 //
 //	go run ./cmd/benchsnap -out BENCH_engine.json
 package main
@@ -196,6 +196,26 @@ func main() {
 		}
 		m["topology_scaling_128p"] = m["cell_128p_mesh_cells_per_sec"] /
 			m["cell_128p_banks1_cells_per_sec"]
+	}
+
+	// Campaign wall time: the Fig 7 W0 sweep (3 apps x 5 W0 at 8p, scale
+	// 0.1) on one single-worker Session, fresh per iteration, so the
+	// session's trace cache and shared ungated baselines count as they do
+	// in one real sweep.
+	{
+		o := experiments.Options{Seed: 42, Scale: 0.1, Processors: []int{8}, Workers: 1}
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := experiments.NewSession(o)
+				if _, err := s.Fig7(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+		cells := float64(len(experiments.Fig7W0Values) * len(stamp.PaperApps()))
+		m["campaign_fig7_ns"] = float64(r.NsPerOp())
+		m["campaign_fig7_cells_per_sec"] = cells / float64(r.NsPerOp()) * 1e9
 	}
 
 	// Re-pricing throughput: a small campaign is simulated once into a

@@ -52,7 +52,12 @@ func (rs RunSpec) trace() (*workload.Trace, error) {
 	return stamp.Generate(rs.App, rs.Processors, rs.Seed)
 }
 
-func (rs RunSpec) config(gated bool) config.Config {
+// Config is the machine configuration of one side of the pair: the
+// paper's Table II machine at rs.Processors, gated at rs.W0 when gated is
+// set, seeded with rs.Seed and edited by rs.Configure. The ungated side
+// never reads W0, so specs that differ only in W0 (or in Model, which
+// only prices) share one ungated configuration.
+func (rs RunSpec) Config(gated bool) config.Config {
 	cfg := config.Default(rs.Processors)
 	if gated {
 		cfg = cfg.WithGating(rs.W0)
@@ -108,7 +113,7 @@ func runOne(ctx context.Context, rs RunSpec, gated bool, rec *trace.Recorder) (*
 	if err != nil {
 		return nil, err
 	}
-	sys, err := tcc.NewSystem(rs.config(gated), tr)
+	sys, err := tcc.NewSystem(rs.Config(gated), tr)
 	if err != nil {
 		return nil, err
 	}
@@ -164,19 +169,31 @@ func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, 
 	}
 	rs.Trace = tr // pin the trace so both runs share it exactly
 
-	ungated, err := runWith(ctx, rs, false, tr, sc)
+	ungated, err := RunSide(ctx, rs, false, sc)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("core: ungated run: %w", err)
+		return Assemble(ctx, rs, nil, err, nil, nil)
 	}
-	gated, err := runWith(ctx, rs, true, tr, sc)
-	if err != nil {
+	gated, err := RunSide(ctx, rs, true, sc)
+	return Assemble(ctx, rs, ungated, nil, gated, err)
+}
+
+// Assemble builds a pair's Outcome from its two sides, however they were
+// obtained: RunPairCached runs both, a campaign session may take the
+// ungated side from another cell with the same baseline. A failed side
+// turns into the pair's error, the ungated side's first; when ctx is done
+// by then, the error is ctx.Err().
+func Assemble(ctx context.Context, rs RunSpec, ungated *tcc.Result, ungatedErr error, gated *tcc.Result, gatedErr error) (*Outcome, error) {
+	for _, side := range []struct {
+		name string
+		err  error
+	}{{"ungated", ungatedErr}, {"gated", gatedErr}} {
+		if side.err == nil {
+			continue
+		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("core: gated run: %w", err)
+		return nil, fmt.Errorf("core: %s run: %w", side.name, side.err)
 	}
 	return &Outcome{
 		Spec:       rs,
@@ -186,8 +203,15 @@ func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, 
 	}, nil
 }
 
-func runWith(ctx context.Context, rs RunSpec, gated bool, tr *workload.Trace, sc *SystemCache) (*tcc.Result, error) {
-	cfg := rs.config(gated)
+// RunSide runs one side of rs's pair on rs.Trace (generated from rs.App
+// when unset), on sc's System when its shape matches. A nil cache selects
+// fresh construction; results are byte-identical either way.
+func RunSide(ctx context.Context, rs RunSpec, gated bool, sc *SystemCache) (*tcc.Result, error) {
+	tr, err := rs.trace()
+	if err != nil {
+		return nil, err
+	}
+	cfg := rs.Config(gated)
 	if sc != nil && sc.sys != nil {
 		switch err := sc.sys.Reset(cfg, tr); {
 		case err == nil:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -147,5 +149,51 @@ func TestCustomPowerModel(t *testing.T) {
 func TestUnknownPresetFails(t *testing.T) {
 	if _, err := RunPair(RunSpec{App: stamp.App("nope"), Processors: 2, Seed: 1}); err == nil {
 		t.Fatal("unknown preset accepted")
+	}
+}
+
+// TestAssembleErrorPrecedence pins the one pair-assembly path: whichever
+// way a pair's sides were obtained, a failed ungated side is the pair's
+// error even when the gated side failed too, a gated failure surfaces
+// alone otherwise, and a done context reports ctx.Err().
+func TestAssembleErrorPrecedence(t *testing.T) {
+	rs := RunSpec{Trace: quickTrace(t, 2), Processors: 2, Seed: 17}
+	ungated, err := RunSide(context.Background(), rs, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := RunSide(context.Background(), rs, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errU, errG := errors.New("ungated broke"), errors.New("gated broke")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name       string
+		ctx        context.Context
+		uErr, gErr error
+		want       error
+	}{
+		{"both fail", context.Background(), errU, errG, errU},
+		{"ungated fails", context.Background(), errU, nil, errU},
+		{"gated fails", context.Background(), nil, errG, errG},
+		{"canceled", canceled, errU, errG, context.Canceled},
+	} {
+		out, err := Assemble(tc.ctx, rs, ungated, tc.uErr, gated, tc.gErr)
+		if out != nil || !errors.Is(err, tc.want) {
+			t.Errorf("%s: outcome %v, error %v, want %v", tc.name, out, err, tc.want)
+		}
+	}
+	out, err := Assemble(context.Background(), rs, ungated, nil, gated, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := RunPair(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Comparison != pair.Comparison {
+		t.Fatalf("assembled sides compare as %+v, RunPair as %+v", out.Comparison, pair.Comparison)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/stamp"
 )
 
@@ -110,7 +109,7 @@ func TestCellSpecConfiguresBanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := applySpecConfig(rs, tc.cell.Processors)
+		cfg := rs.Config(false)
 		if cfg.Machine.Banks != tc.wantBanks {
 			t.Errorf("%s: machine banks %d, want %d", tc.cell.Label(), cfg.Machine.Banks, tc.wantBanks)
 		}
@@ -119,14 +118,4 @@ func TestCellSpecConfiguresBanks(t *testing.T) {
 				tc.cell.Label(), cfg.Gating.Policy, tc.wantPol)
 		}
 	}
-}
-
-// applySpecConfig materializes the machine config a RunSpec would run
-// with, mirroring core.RunSpec.config without exporting it.
-func applySpecConfig(rs core.RunSpec, processors int) config.Config {
-	cfg := config.Default(processors)
-	if rs.Configure != nil {
-		rs.Configure(&cfg)
-	}
-	return cfg
 }

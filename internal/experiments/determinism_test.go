@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/stamp"
 )
 
 // These tests pin the engine's central guarantee: for the same Options,
@@ -174,5 +177,62 @@ func TestScenarioCampaignDeterministic(t *testing.T) {
 	seq := render(1)
 	if par := render(8); par != seq {
 		t.Fatalf("scenario campaign diverged:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
+	}
+}
+
+// TestSharedBaselineByteIdentical pins the shared-baseline memo to the
+// memo-off path on the sweeps whose cells share ungated baselines: Fig 7
+// (siblings a W0 step apart, len(apps) cells away), the paper grid's W0
+// axis (siblings adjacent), and one trace crossed with machine and
+// energy axes (only some cells may share). With the memo on, CSV and
+// rendered reports must be byte-identical to NoTraceCache's at one and
+// four workers, for one batch call and for one cell per call from four
+// clients.
+func TestSharedBaselineByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cells func(Options) []Cell
+	}{
+		{"fig7", fig7Cells},
+		{"paper-grid W0", func(o Options) []Cell { return paperGridRound(o.Seed) }},
+		{"machine and energy axes", func(o Options) []Cell { return axesCells(o.Seed, stamp.Genome, stamp.Intruder) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			for _, run := range []struct {
+				memoOff bool
+				workers int
+				clients int // one cell per call from this many clients; 0 is one batch call
+			}{{true, 1, 0}, {true, 4, 0}, {false, 1, 0}, {false, 4, 0}, {false, 4, 4}} {
+				o := Options{Seed: 42, Scale: 0.02, Workers: run.workers, NoTraceCache: run.memoOff}
+				s := NewSession(o)
+				cells := tc.cells(o)
+				var outs []*core.Outcome
+				if run.clients > 0 {
+					outs = runEachCell(t, s, cells, run.clients)
+				} else {
+					var err error
+					if outs, err = s.RunCells(context.Background(), cells); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Close()
+				c := &Campaign{Options: o, Cells: cells, Outcomes: outs}
+				var b strings.Builder
+				if err := c.WriteCSV(&b); err != nil {
+					t.Fatal(err)
+				}
+				got := b.String() + c.Fig4() + c.Fig5() + c.Fig6() + c.DetailTable() + c.SummaryText()
+				if tc.name == "fig7" {
+					got += fig7Report(o, outs)
+				}
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("%+v: output diverged from the memo-off run:\n--- memo off ---\n%s\n--- got ---\n%s",
+						run, want, got)
+				}
+			}
+		})
 	}
 }

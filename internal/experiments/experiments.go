@@ -64,9 +64,11 @@ type Options struct {
 	// cells, for splitting a campaign across machines. The zero value
 	// runs everything.
 	Shard Shard
-	// NoTraceCache disables the session's workload-trace cache, forcing
-	// every cell to regenerate its trace. Results are identical either
-	// way; this exists for benchmarks and debugging, not production use.
+	// NoTraceCache disables the session's cross-cell caches: traces and
+	// ungated baselines. Every cell then regenerates its trace and runs
+	// its own ungated baseline. Results are identical either way; this
+	// exists for benchmarks, debugging and independent cross-checks, not
+	// production use.
 	NoTraceCache bool
 	// NoSystemReuse disables the per-worker System cache, constructing a
 	// fresh simulated machine for every run. Results are identical either
@@ -302,7 +304,8 @@ var Fig7W0Values = []sim.Time{2, 4, 8, 16, 32}
 // be identical across the W0 axis, or the sweep would confound gating
 // sensitivity with workload randomness. Because the session's trace cache
 // keys on (app, threads, seed) and not on W0, each (app, Np) workload is
-// generated once and shared across the whole W0 axis.
+// generated once and shared across the whole W0 axis, and so is its
+// ungated baseline (the ungated machine never reads W0).
 func fig7Cells(o Options) []Cell {
 	var cells []Cell
 	for _, np := range o.processors() {
@@ -335,17 +338,22 @@ func Fig7(o Options) (string, error) {
 
 // Fig7 runs the W0/Np speed-up sensitivity sweep (paper Figure 7).
 // Speed-ups are averaged over the campaign's applications for each
-// (W0, Np) point. The sweep's |Np|x5x|apps| paired runs execute as one
-// cell set on the session's worker pool, sharing one cached trace per
-// (app, Np) point across the W0 axis.
+// (W0, Np) point, each against the one ungated baseline N1 of its
+// (app, Np) point, as in the paper. The sweep's |Np|x5x|apps| cells
+// execute as one cell set on the session's worker pool, sharing one
+// cached trace and one ungated run per (app, Np) point across the W0
+// axis.
 func (s *Session) Fig7(ctx context.Context) (string, error) {
-	o := s.opts
-	apps := o.apps()
-	cells := fig7Cells(o)
-	outs, err := s.RunCells(ctx, cells)
+	outs, err := s.RunCells(ctx, fig7Cells(s.opts))
 	if err != nil {
 		return "", fmt.Errorf("experiments: fig7: %w", err)
 	}
+	return fig7Report(s.opts, outs), nil
+}
+
+// fig7Report renders Figure 7 from the outcomes of fig7Cells(o).
+func fig7Report(o Options, outs []*core.Outcome) string {
+	apps := o.apps()
 	set := report.SeriesSet{
 		Title:   "Figure 7: Speed-up as a function of W0 and Np",
 		XLabel:  "W0",
@@ -366,5 +374,5 @@ func (s *Session) Fig7(ctx context.Context) (string, error) {
 		}
 		set.Series = append(set.Series, s)
 	}
-	return set.Render(), nil
+	return set.Render()
 }

@@ -123,18 +123,17 @@ func TestFig7Runs(t *testing.T) {
 func TestScaleReducesWork(t *testing.T) {
 	o := quickOptions()
 	cell := Cell{App: stamp.Intruder, Processors: 2, Seed: o.Seed}
-	rsSmall, err := NewSession(o).cellSpec(cell)
+	small, err := NewSession(o).trace(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Scale = 0.5
-	rsBig, err := NewSession(o).cellSpec(cell)
+	big, err := NewSession(o).trace(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsSmall.Trace.TotalTxs() >= rsBig.Trace.TotalTxs() {
-		t.Fatalf("scale not applied: %d vs %d",
-			rsSmall.Trace.TotalTxs(), rsBig.Trace.TotalTxs())
+	if small.TotalTxs() >= big.TotalTxs() {
+		t.Fatalf("scale not applied: %d vs %d", small.TotalTxs(), big.TotalTxs())
 	}
 }
 

@@ -18,11 +18,14 @@ import (
 
 // Session is the campaign execution engine behind every sweep in this
 // package: a long-lived runner that owns a worker pool (Options.Workers
-// goroutines, started lazily), a per-(app, threads, scale, contention,
-// seed) trace cache, and an optional JSONL checkpoint sink. Create one
-// with NewSession, run any number of sweeps on it — Run, RunCells,
-// Stream, RunScenarios, Fig7, MultiSeed, Ablations — and Close it when
-// done.
+// goroutines, started lazily), two cross-cell caches and an optional
+// JSONL checkpoint sink. The caches are a per-(app, threads, scale,
+// contention, seed) trace cache and a shared-baseline memo, which runs
+// each ungated simulation once for all cells with the same trace and
+// ungated machine (Fig 7's W0 axis, the energy axis). Stats reports which
+// caches served the cells. Create one with NewSession, run any number of
+// sweeps on it — Run, RunCells, Stream, RunScenarios, Fig7, MultiSeed,
+// Ablations — and Close it when done.
 //
 // Two execution shapes share one engine. Stream yields per-cell results
 // in completion order, as they finish; Run and RunCells collect the same
@@ -45,6 +48,9 @@ type Session struct {
 	traces     map[traceKey]*traceEntry
 	traceClock uint64 // logical use counter driving the LRU policy
 
+	baselines *baselineMemo
+	stats     sessionStats
+
 	// store is the shared on-disk trace store (Options.TraceDir), opened
 	// lazily on the first cache miss and closed with the session. nil
 	// when TraceDir is empty or the store failed to open.
@@ -59,22 +65,23 @@ type Session struct {
 // starts lazily on first use; Close releases it.
 func NewSession(o Options) *Session {
 	return &Session{
-		opts:     o,
-		tasks:    make(chan func(*core.SystemCache)),
-		poolStop: make(chan struct{}),
-		traces:   make(map[traceKey]*traceEntry),
+		opts:      o,
+		tasks:     make(chan func(*core.SystemCache)),
+		poolStop:  make(chan struct{}),
+		traces:    make(map[traceKey]*traceEntry),
+		baselines: newBaselineMemo(o.workers()),
 	}
 }
 
 // Options returns the options the session was created with.
 func (s *Session) Options() Options { return s.opts }
 
-// Close stops the worker pool, closes the checkpoint sink and releases
-// the on-disk trace store, if any. Close waits for no in-flight work;
-// finish or cancel streams first. Store-loaded traces alias mmap'd
-// regions Close unmaps, so the in-process trace cache is purged with it
-// — a task that straggles in after Close regenerates inline instead of
-// touching unmapped memory.
+// Close stops the worker pool, closes the checkpoint sink, drops the
+// retained ungated baselines and releases the on-disk trace store, if
+// any. Close waits for no in-flight work; finish or cancel streams first.
+// Store-loaded traces alias mmap'd regions Close unmaps, so the
+// in-process trace cache is purged with it — a task that straggles in
+// after Close regenerates inline instead of touching unmapped memory.
 func (s *Session) Close() error {
 	var err error
 	s.closed.Do(func() {
@@ -86,6 +93,7 @@ func (s *Session) Close() error {
 		s.traces = make(map[traceKey]*traceEntry)
 		st := s.store
 		s.traceMu.Unlock()
+		s.baselines.purge()
 		if st != nil {
 			if cerr := st.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -196,20 +204,30 @@ type CellResult struct {
 // once every launched cell has been delivered or the context is canceled.
 // The caller must drain the channel or cancel ctx; an abandoned,
 // uncancelled stream would hold pool workers forever.
+//
+// The call holds the shared-baseline key of each of its cells until that
+// cell finishes, so a baseline its later cells need is not evicted
+// however far apart they sit.
 func (s *Session) StreamChan(ctx context.Context, cells []Cell) <-chan CellResult {
 	out := make(chan CellResult)
+	keys := s.holdBaselines(cells)
 	go func() {
 		defer close(out)
 		var wg sync.WaitGroup
 		for pos, c := range cells {
 			if ctx.Err() != nil {
+				for _, k := range keys[pos:] {
+					s.baselines.release(k)
+				}
 				break
 			}
 			pos, c := pos, c
 			wg.Add(1)
 			s.submit(func(sc *core.SystemCache) {
 				defer wg.Done()
-				res := s.runCell(ctx, pos, c, sc)
+				res := s.runCell(ctx, pos, c, keys[pos], sc)
+				s.baselines.release(keys[pos])
+				s.stats.addSystems(sc)
 				select {
 				case out <- res:
 				case <-ctx.Done():
@@ -289,9 +307,10 @@ func (s *Session) Run(ctx context.Context) (*Campaign, error) {
 }
 
 // runCell produces one cell's result: restored from the checkpoint when
-// present there, simulated (and recorded) otherwise. sc is the calling
+// present there, simulated (and recorded) otherwise. key is the cell's
+// shared-baseline key (nil runs its own baseline); sc is the calling
 // worker's System cache (nil selects fresh construction).
-func (s *Session) runCell(ctx context.Context, pos int, c Cell, sc *core.SystemCache) CellResult {
+func (s *Session) runCell(ctx context.Context, pos int, c Cell, key *baselineKey, sc *core.SystemCache) CellResult {
 	res := CellResult{Pos: pos, Cell: c}
 	if s.ckpt != nil {
 		if out, ok := s.ckpt.Lookup(c); ok {
@@ -300,11 +319,14 @@ func (s *Session) runCell(ctx context.Context, pos int, c Cell, sc *core.SystemC
 		}
 	}
 	rs, err := s.cellSpec(c)
+	if err == nil {
+		rs.Trace, err = s.trace(c)
+	}
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	out, err := core.RunPairCached(ctx, rs, sc)
+	out, err := s.runPair(ctx, rs, key, sc)
 	if err != nil {
 		res.Err = err
 		return res
@@ -318,10 +340,10 @@ func (s *Session) runCell(ctx context.Context, pos int, c Cell, sc *core.SystemC
 	return res
 }
 
-// cellSpec builds the core.RunSpec for one cell: the trace from the
-// session cache, the machine-config mutation from the cell's
-// interconnect shape and variant, and the power model from the cell's
-// technology point.
+// cellSpec builds the core.RunSpec for one cell, all but its trace: the
+// machine-config mutation from the cell's interconnect shape and
+// variant, and the power model from the cell's technology point. It
+// provisions nothing, so the cell's shared-baseline key costs no trace.
 func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 	rs := core.RunSpec{App: c.App, Processors: c.Processors, Seed: c.Seed, W0: c.W0}
 	tech, err := energy.Resolve(c.Tech)
@@ -352,11 +374,6 @@ func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 		}
 	}
 	rs.Configure = configure
-	tr, err := s.trace(c)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	rs.Trace = tr
 	return rs, nil
 }
 
@@ -448,8 +465,12 @@ func (s *Session) traceStore() (*tracestore.Store, error) {
 // cross-process single-flight lock), by direct generation otherwise.
 // Generation is deterministic, so every path yields identical bytes.
 func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
-	if s.opts.TraceDir == "" {
+	generate := func() (*workload.Trace, error) {
+		s.stats.traceGenerations.Add(1)
 		return generateCellTrace(s.opts.Scale, c)
+	}
+	if s.opts.TraceDir == "" {
+		return generate()
 	}
 	st, err := s.traceStore()
 	if err != nil {
@@ -466,9 +487,7 @@ func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
 		Contention: string(c.contentionOrBase()),
 		Seed:       c.Seed,
 	}
-	return st.GetOrGenerate(key, func() (*workload.Trace, error) {
-		return generateCellTrace(s.opts.Scale, c)
-	})
+	return st.GetOrGenerate(key, generate)
 }
 
 // trace returns the cell's workload trace, generating it on first use and
@@ -478,20 +497,12 @@ func (s *Session) trace(c Cell) (*workload.Trace, error) {
 	if s.opts.NoTraceCache {
 		return s.provisionTrace(c)
 	}
-	scale := s.opts.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	key := traceKey{
-		app:        c.App,
-		threads:    c.Processors,
-		scale:      scale,
-		contention: c.contentionOrBase(),
-		seed:       c.Seed,
-	}
+	key := s.traceKey(c)
 	s.traceMu.Lock()
 	e, ok := s.traces[key]
-	if !ok {
+	if ok {
+		s.stats.traceHits.Add(1)
+	} else {
 		if len(s.traces) >= maxCachedTraces {
 			s.evictTrace()
 		}
@@ -506,6 +517,21 @@ func (s *Session) trace(c Cell) (*workload.Trace, error) {
 		e.tr, e.err = s.provisionTrace(c)
 	})
 	return e.tr, e.err
+}
+
+// traceKey is the key of c's trace in the session cache.
+func (s *Session) traceKey(c Cell) traceKey {
+	scale := s.opts.Scale
+	if scale == 0 {
+		scale = 1.0
+	}
+	return traceKey{
+		app:        c.App,
+		threads:    c.Processors,
+		scale:      scale,
+		contention: c.contentionOrBase(),
+		seed:       c.Seed,
+	}
 }
 
 // generateCellTrace builds the cell's trace exactly as an uncached run

@@ -79,7 +79,7 @@ func TestCellSpecConfiguresTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := applySpecConfig(rs, tc.cell.Processors)
+		cfg := rs.Config(false)
 		if cfg.Machine.Topology != tc.wantTopo {
 			t.Errorf("%s: machine topology %q, want %q", tc.cell.Label(), cfg.Machine.Topology, tc.wantTopo)
 		}
