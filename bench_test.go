@@ -248,7 +248,9 @@ func benchCampaign(b *testing.B, workers int) {
 	o.Workers = workers
 	var s experiments.Summary
 	for i := 0; i < b.N; i++ {
-		c, err := experiments.Run(o)
+		session := experiments.NewSession(o)
+		c, err := session.Run(context.Background())
+		session.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

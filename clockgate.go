@@ -100,17 +100,7 @@
 // docs/DISTRIBUTED.md specifies the protocol (lease state machine,
 // renewal and stealing rules, dedup-on-re-lease, merge ordering).
 //
-// # Legacy entry points
-//
-// The original one-shot helpers remain as thin adapters, each running a
-// throwaway session to completion. Prefer a Session for anything beyond
-// a single call; the mapping is:
-//
-//	RunCampaign(opts)            -> NewSession(opts).Run(ctx)
-//	RunScenarios(opts, cases)    -> NewSession(opts).RunScenarios(ctx, cases)
-//	experiments -fig7            -> NewSession(opts).Fig7(ctx)
-//	experiments -seeds N         -> NewSession(opts).MultiSeed(ctx, seeds)
-//	experiments -ablations       -> NewSession(opts).Ablations(ctx)
+// # Scenario matrix
 //
 // Beyond the paper's grid, the scenario matrix names every runnable case
 // — each STAMP preset at 1–128 processors, several gating windows,
@@ -121,7 +111,7 @@
 // M00721–M00752, and the energy/EDP technology block as M00753–M00800:
 //
 //	sc, _ := clockgate.ScenarioByID("M00042")
-//	campaign, err := clockgate.RunScenarios(opts, []clockgate.Scenario{sc})
+//	campaign, err := session.RunScenarios(ctx, []clockgate.Scenario{sc})
 //
 // # Energy technology axis and journal re-pricing
 //
@@ -351,20 +341,30 @@ func (r *Result) Energy() (eug, eg float64) { return r.cmp.Eug, r.cmp.Eg }
 // Comparison returns the full §IV metric set.
 func (r *Result) Comparison() power.Comparison { return r.cmp }
 
-// Run executes the experiment: the identical trace simulated without and
-// with the clock-gating protocol, compared under the Table I power model.
-func Run(e Experiment) (*Result, error) {
+// spec translates the experiment into the core run specification every
+// entry point executes.
+func (e Experiment) spec() (core.RunSpec, error) {
 	if e.Processors <= 0 {
-		return nil, fmt.Errorf("clockgate: processors %d must be positive", e.Processors)
+		return core.RunSpec{}, fmt.Errorf("clockgate: processors %d must be positive", e.Processors)
 	}
-	out, err := core.RunPair(core.RunSpec{
+	return core.RunSpec{
 		App:        e.App,
 		Trace:      e.Trace,
 		Processors: e.Processors,
 		W0:         sim.Time(e.W0),
 		Seed:       e.Seed,
 		Configure:  e.Configure,
-	})
+	}, nil
+}
+
+// Run executes the experiment: the identical trace simulated without and
+// with the clock-gating protocol, compared under the Table I power model.
+func Run(e Experiment) (*Result, error) {
+	rs, err := e.spec()
+	if err != nil {
+		return nil, err
+	}
+	out, err := core.RunPair(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -375,17 +375,7 @@ func Run(e Experiment) (*Result, error) {
 // Most callers want Run; RunSingle exists for studies that only need one
 // side, such as baseline characterization.
 func RunSingle(e Experiment, gated bool) (*RunResult, error) {
-	if e.Processors <= 0 {
-		return nil, fmt.Errorf("clockgate: processors %d must be positive", e.Processors)
-	}
-	return core.RunOne(core.RunSpec{
-		App:        e.App,
-		Trace:      e.Trace,
-		Processors: e.Processors,
-		W0:         sim.Time(e.W0),
-		Seed:       e.Seed,
-		Configure:  e.Configure,
-	}, gated)
+	return RunSingleWithEvents(e, gated, nil)
 }
 
 // GenerateTrace builds the deterministic workload trace a preset would use
@@ -478,14 +468,6 @@ type CellResult = experiments.CellResult
 // worker pool starts lazily; Close releases it.
 func NewSession(o CampaignOptions) *Session { return experiments.NewSession(o) }
 
-// RunCampaign executes the campaign's run-cells across
-// CampaignOptions.Workers goroutines and merges outcomes in canonical
-// cell order. For the same options, every worker count — and any
-// sharding — produces identical results. It is a thin adapter running a
-// one-shot Session to completion; use NewSession directly for streaming,
-// cancellation, or checkpoint/resume.
-func RunCampaign(o CampaignOptions) (*Campaign, error) { return experiments.Run(o) }
-
 // Scenario is one named, addressable case of the scenario matrix.
 type Scenario = experiments.Scenario
 
@@ -534,14 +516,6 @@ func ScenarioByID(id string) (Scenario, bool) { return experiments.ScenarioByID(
 
 // ScenarioByName resolves a scenario address such as "genome/8p/W0=8/base".
 func ScenarioByName(name string) (Scenario, bool) { return experiments.ScenarioByName(name) }
-
-// RunScenarios executes the given scenario-matrix cases as one campaign
-// on the worker pool. Each scenario's workload seed derives from the
-// campaign seed and the scenario's matrix ordinal, so a case reproduces
-// identically whether run alone, in a subset, or in a shard.
-func RunScenarios(o CampaignOptions, scenarios []Scenario) (*Campaign, error) {
-	return experiments.RunScenarios(o, scenarios)
-}
 
 // ServeConfig tunes a distributed campaign coordinator: lease TTL and
 // batch size, worker poll interval, the post-completion drain grace, an
@@ -608,17 +582,11 @@ func Work(ctx context.Context, addr string, o WorkerConfig) (WorkerStats, error)
 }
 
 // RunSingleWithEvents executes one configuration with a protocol event
-// recorder attached.
+// recorder attached (nil records nothing).
 func RunSingleWithEvents(e Experiment, gated bool, rec *EventRecorder) (*RunResult, error) {
-	if e.Processors <= 0 {
-		return nil, fmt.Errorf("clockgate: processors %d must be positive", e.Processors)
+	rs, err := e.spec()
+	if err != nil {
+		return nil, err
 	}
-	return core.RunOneRecorded(core.RunSpec{
-		App:        e.App,
-		Trace:      e.Trace,
-		Processors: e.Processors,
-		W0:         sim.Time(e.W0),
-		Seed:       e.Seed,
-		Configure:  e.Configure,
-	}, gated, rec)
+	return core.RunOneRecorded(rs, gated, rec)
 }

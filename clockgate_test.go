@@ -1,6 +1,7 @@
 package clockgate
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -157,7 +158,12 @@ func TestCampaignAPI(t *testing.T) {
 	opts.Scale = 0.02
 	opts.Processors = []int{2, 4}
 	opts.Workers = 4
-	c, err := RunCampaign(opts)
+	run := func(opts CampaignOptions) (*Campaign, error) {
+		session := NewSession(opts)
+		defer session.Close()
+		return session.Run(context.Background())
+	}
+	c, err := run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +180,7 @@ func TestCampaignAPI(t *testing.T) {
 	var n int
 	for i := 0; i < 2; i++ {
 		opts.Shard = Shard{Index: i, Count: 2}
-		half, err := RunCampaign(opts)
+		half, err := run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

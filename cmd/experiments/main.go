@@ -62,6 +62,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/energy"
 	"repro/internal/experiments"
+	"repro/internal/stamp"
 )
 
 func main() {
@@ -442,9 +443,16 @@ func main() {
 	}
 
 	if *extended {
-		campaign, err := experiments.Extended(opts)
+		// The extension presets are a campaign of their own: their apps
+		// change the options fingerprint, so they run on a second session,
+		// without the -resume checkpoint, under the same cancellable ctx.
+		eo := opts
+		eo.Apps = []stamp.App{stamp.Bayes, stamp.KMeans, stamp.Labyrinth, stamp.SSCA2, stamp.Vacation}
+		es := experiments.NewSession(eo)
+		campaign, err := es.Run(ctx)
+		es.Close()
 		if err != nil {
-			fatal(err)
+			fatalRun(err, *resume)
 		}
 		fmt.Println("Extension presets (beyond the paper's evaluation):")
 		fmt.Println(campaign.DetailTable())

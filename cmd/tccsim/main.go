@@ -6,7 +6,7 @@
 //
 //	tccsim -app intruder -procs 16 -gated -w0 8 -seed 42
 //	tccsim -app yada -procs 8 -pair        # paired ungated/gated comparison
-//	tccsim -trace workload.bin -procs 4    # replay an archived trace
+//	tccsim -trace yada8.trace -procs 8     # replay a tracegen (CGTRACE2) trace
 package main
 
 import (
@@ -48,12 +48,11 @@ func main() {
 		Seed:       *seed,
 	}
 	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
+		data, err := os.ReadFile(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
-		tr, err := workload.Decode(f)
-		f.Close()
+		tr, err := workload.DecodeV2Bytes(data)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,9 +1,11 @@
 // Command tracegen generates, archives and inspects workload traces.
+// Traces are written in the CGTRACE2 format, which tccsim -trace replays.
 //
 // Usage:
 //
 //	tracegen -app yada -threads 8 -seed 42 -o yada8.trace   # generate
 //	tracegen -inspect yada8.trace                           # summarize
+//	tccsim -trace yada8.trace -procs 8 -pair                # replay
 package main
 
 import (
@@ -26,12 +28,11 @@ func main() {
 	flag.Parse()
 
 	if *inspect != "" {
-		f, err := os.Open(*inspect)
+		data, err := os.ReadFile(*inspect)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		tr, err := workload.Decode(f)
+		tr, err := workload.DecodeV2Bytes(data)
 		if err != nil {
 			fatal(err)
 		}
@@ -51,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := workload.Encode(f, tr); err != nil {
+	if err := workload.EncodeV2(f, tr); err != nil {
 		f.Close()
 		fatal(err)
 	}

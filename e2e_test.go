@@ -203,7 +203,9 @@ func TestE2ECampaignParityWithPublicAPI(t *testing.T) {
 	}
 	opts := DefaultCampaignOptions()
 	opts.Scale = e2eScale
-	campaign, err := RunScenarios(opts, []Scenario{s})
+	session := NewSession(opts)
+	defer session.Close()
+	campaign, err := session.RunScenarios(context.Background(), []Scenario{s})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,131 +1,50 @@
-// Differential timing-equivalence harness for the interconnect models.
-// The banked bus with one bank must be cycle-identical to the single
-// split-transaction bus — not approximately, but byte-for-byte across the
-// whole E2E done-set. This is the golden that lets the banked model claim
-// the single-bus results as its own baseline: any timing drift between
-// the two implementations fails here, localized to the first diverging
-// protocol event's cycle.
+// Debugging view for the interconnect rows of the done-set equivalence
+// harness (doneset_test.go). The banked bus with one bank and the
+// degenerate fabrics must be cycle-identical to the single
+// split-transaction bus; when a row diverges, replaying the cell with
+// protocol event recorders on both machines localizes the drift to the
+// first diverging event's cycle.
 package clockgate
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"strings"
 	"testing"
 )
 
-// doneSetCells builds one run-cell per done case of the scenario matrix,
-// every cell forced onto the given interconnect shape (banks = 0 is the
-// single bus, 1 the one-banked model). Topology is cleared: this golden
-// differentials the two bus models, and the banked bus does not compose
-// with the topology block's point-to-point fabrics (those cells still
-// participate, re-homed onto the bus like every other machine axis).
-func doneSetCells(seed uint64, banks int) []Cell {
-	var cells []Cell
-	for _, s := range ScenarioMatrix() {
-		if !s.Done() {
-			continue
-		}
-		c := s.Cell(len(cells), seed)
-		c.Banks = banks
-		c.Topology = ""
-		cells = append(cells, c)
-	}
-	return cells
-}
-
-// stripBanksColumn removes the trailing banks column from every CSV row:
-// it differs between the two campaigns by construction (0 vs 1), while
-// every other byte must match.
-func stripBanksColumn(csv string) string {
-	lines := strings.Split(strings.TrimSuffix(csv, "\n"), "\n")
-	for i, line := range lines {
-		cut := strings.LastIndexByte(line, ',')
-		if cut >= 0 {
-			lines[i] = line[:cut]
-		}
-	}
-	return strings.Join(lines, "\n")
-}
-
-// TestBankedOneBankGoldenOverDoneSet runs every e2e done case twice — on
-// the single bus and on the banked bus with Banks=1 — and requires the
-// two campaign CSVs to be byte-identical outside the banks column. On a
-// divergence it re-runs the first diverging cell with protocol event
-// recorders on both engines and reports the first cycle at which the two
-// interconnects disagree.
-func TestBankedOneBankGoldenOverDoneSet(t *testing.T) {
-	opts := DefaultCampaignOptions()
-	opts.Scale = e2eScale
-	opts.Workers = runtime.GOMAXPROCS(0)
-
-	session := NewSession(opts)
-	defer session.Close()
-
-	runCSV := func(banks int) (string, []Cell) {
-		cells := doneSetCells(opts.Seed, banks)
-		outs, err := session.RunCells(context.Background(), cells)
-		if err != nil {
-			t.Fatalf("banks=%d campaign: %v", banks, err)
-		}
-		campaign := &Campaign{Options: opts, Cells: cells, Outcomes: outs}
-		var buf strings.Builder
-		if err := campaign.WriteCSV(&buf); err != nil {
-			t.Fatalf("banks=%d CSV: %v", banks, err)
-		}
-		return buf.String(), cells
-	}
-	singleCSV, cells := runCSV(0)
-	bankedCSV, _ := runCSV(1)
-
-	single := strings.Split(stripBanksColumn(singleCSV), "\n")
-	banked := strings.Split(stripBanksColumn(bankedCSV), "\n")
-	if len(single) != len(banked) {
-		t.Fatalf("row counts diverge: %d vs %d", len(single), len(banked))
-	}
-	for i := range single {
-		if single[i] == banked[i] {
-			continue
-		}
-		// Row 0 is the header; data row i belongs to cells[i-1].
-		cell := cells[i-1]
-		t.Errorf("first diverging done-set row %d (%s %s):\n  single bus: %s\n  banked(1):  %s\n  first diverging cycle: %s",
-			i, cell.ID, cell.Label(), single[i], banked[i], firstDivergingCycle(t, cell))
-		break
-	}
-}
-
-// firstDivergingCycle re-executes one cell on both interconnect shapes
-// with protocol event recorders attached and returns a description of the
-// first event where the two engines' histories part ways — the debugging
-// entry point for a golden failure.
-func firstDivergingCycle(t *testing.T, cell Cell) string {
+// firstDivergingCycle re-executes one done-set cell on the reference's
+// interconnect and on the variant's (the two cells differ in nothing
+// else), with protocol event recorders attached, and returns a description of the first event where the two
+// engines' histories part ways — the debugging entry point for an
+// interconnect row's failure.
+func firstDivergingCycle(t *testing.T, ref, variant Cell) string {
 	t.Helper()
-	record := func(banks int, gated bool) []Event {
-		tr, err := GenerateTraceScaled(cell.App, cell.Processors, cell.Seed, e2eScale)
+	record := func(c Cell, gated bool) []Event {
+		tr, err := GenerateTraceScaled(c.App, c.Processors, c.Seed, e2eScale)
 		if err != nil {
-			t.Fatalf("trace for %s: %v", cell.Label(), err)
+			t.Fatalf("trace for %s: %v", c.Label(), err)
 		}
 		rec := NewEventRecorder()
 		_, err = RunSingleWithEvents(Experiment{
 			Trace:      tr,
-			Processors: cell.Processors,
-			W0:         int64(cell.W0),
-			Seed:       cell.Seed,
-			Configure:  func(c *Config) { c.Machine.Banks = banks },
+			Processors: c.Processors,
+			W0:         int64(c.W0),
+			Seed:       c.Seed,
+			Configure: func(m *Config) {
+				m.Machine.Banks = c.Banks
+				m.Machine.Topology = c.Topology
+			},
 		}, gated, rec)
 		if err != nil {
-			t.Fatalf("recorded run for %s: %v", cell.Label(), err)
+			t.Fatalf("recorded run for %s: %v", c.Label(), err)
 		}
 		return rec.Events()
 	}
 	for _, gated := range []bool{false, true} {
-		a, b := record(0, gated), record(1, gated)
+		a, b := record(ref, gated), record(variant, gated)
 		n := min(len(a), len(b))
 		for i := 0; i < n; i++ {
 			if a[i] != b[i] {
-				return fmt.Sprintf("cycle %d (gated=%v event %d: single %+v, banked %+v)",
+				return fmt.Sprintf("cycle %d (gated=%v event %d: reference %+v, variant %+v)",
 					min(a[i].At, b[i].At), gated, i, a[i], b[i])
 			}
 		}
@@ -137,12 +56,12 @@ func firstDivergingCycle(t *testing.T, cell Cell) string {
 	return "no protocol-event divergence (timing drift outside recorded events)"
 }
 
-// TestBankedCellSharesWorkloadWithSingleBus pins the layer the golden
-// rides on: a cell's workload trace is a function of the workload axes
-// only, so the differential comparison above really does execute the
-// identical trace on both interconnects (one generation, served twice
-// from the session trace cache — asserted directly in
-// internal/experiments' TestTraceCacheKeyAudit).
+// TestBankedCellSharesWorkloadWithSingleBus pins the layer the
+// interconnect rows ride on: a cell's workload trace is a function of the
+// workload axes only, so the differential comparison really does execute
+// the identical trace on both interconnects (the trace-cache key ignores
+// the machine axes, asserted directly in internal/experiments'
+// TestTraceCacheKeyAudit).
 func TestBankedCellSharesWorkloadWithSingleBus(t *testing.T) {
 	a, err := GenerateTraceScaled(Intruder, 8, 42, e2eScale)
 	if err != nil {

@@ -120,9 +120,6 @@ func (b *BankedBus) Reset() {
 	b.dueScratch = b.dueScratch[:0]
 }
 
-// Occupancy returns the per-message hold time of one bank.
-func (b *BankedBus) Occupancy() sim.Time { return b.occupancy }
-
 // Banks returns the bank count.
 func (b *BankedBus) Banks() int { return len(b.banks) }
 
@@ -155,14 +152,6 @@ func (b *BankedBus) Queued() int {
 		n += b.banks[i].reqs.Len() + b.banks[i].dels.Len()
 	}
 	return n
-}
-
-// Utilization returns busy-cycles over elapsed wire-capacity cycles
-// (elapsed time times bank count), clamped to [0, 1]: 1.0 means every
-// bank was busy every cycle. Zero elapsed time reads as 0, never NaN.
-func (b *BankedBus) Utilization() float64 {
-	return clampUtil(float64(b.Stats().BusyCycles),
-		float64(b.eng.Now())*float64(len(b.banks)))
 }
 
 // Send implements Interconnect: the message joins bank's arbitration

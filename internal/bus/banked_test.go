@@ -174,38 +174,6 @@ func TestBankOfRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestUtilizationEdgeCases is the regression for the CSV bus_util NaN
-// leak: utilization read before any time has elapsed must be 0 (not 0/0),
-// and a reading taken while a granted slot is still crossing must clamp
-// to 1.0 (BusyCycles charges slots in full at grant time, so busy can
-// exceed elapsed mid-slot).
-func TestUtilizationEdgeCases(t *testing.T) {
-	eng := sim.NewEngine()
-	ics := map[string]Interconnect{
-		"bus":    New(eng, 4),
-		"banked": NewBanked(eng, 4, 2),
-		"xbar":   NewXbar(eng, 4, 2),
-		"mesh":   NewFabric(eng, 4, Topology{Kind: TopoMesh, Nodes: 1, Rows: 1, Cols: 1}),
-	}
-	for name, ic := range ics {
-		if got := ic.Utilization(); got != 0 {
-			t.Errorf("%s: utilization %f at t=0, want 0 (NaN/Inf would leak into the CSV)", name, got)
-		}
-	}
-	// A full grant round charges 2*occupancy busy cycles at t=0; stepping
-	// the engine to t=1 (mid-slot) makes busy > elapsed.
-	eng2 := sim.NewEngine()
-	b := New(eng2, 4)
-	b.Send(0, 0, 0, func() {})
-	b.Send(0, 0, 0, func() {})
-	eng2.Schedule(1, func() {
-		if got := b.Utilization(); got != 1 {
-			t.Errorf("mid-slot utilization %f, want clamped to 1", got)
-		}
-	})
-	eng2.Run()
-}
-
 // TestBankedOneBankMatchesSingleBus is the bus-level differential: the
 // banked model with one bank must deliver a randomized send schedule at
 // exactly the cycles the single Bus does, message for message. The

@@ -60,8 +60,6 @@ type Interconnect interface {
 	Send(src, dst, bank int, deliver func())
 	// Banks returns the number of independent banks (1 for the single bus).
 	Banks() int
-	// Occupancy returns the per-message hold time of one bank's wires.
-	Occupancy() sim.Time
 	// Stats returns the activity counters, aggregated over banks.
 	Stats() Stats
 	// BankStats returns a copy of each independent resource's private
@@ -72,9 +70,6 @@ type Interconnect interface {
 	// Queued returns the number of messages awaiting arbitration or
 	// delivery across all banks.
 	Queued() int
-	// Utilization returns busy-cycles over elapsed wire-capacity cycles
-	// (elapsed time times bank count) at the current time.
-	Utilization() float64
 	// Reset returns the interconnect to its initial state — empty
 	// queues, free wires, zeroed counters — keeping allocated storage.
 	// The owning engine must be reset first (or alongside): pending
@@ -165,9 +160,6 @@ func (b *Bus) Reset() {
 	b.delPending = false
 }
 
-// Occupancy returns the per-message hold time.
-func (b *Bus) Occupancy() sim.Time { return b.occupancy }
-
 // Banks implements Interconnect: the single bus is one bank.
 func (b *Bus) Banks() int { return 1 }
 
@@ -247,27 +239,4 @@ func (b *Bus) deliverHead() {
 	d := b.dels.Pop()
 	b.scheduleDelivery()
 	d.deliver()
-}
-
-// Utilization returns busy-cycles / elapsed-cycles at the current time,
-// clamped to [0, 1]. Returns 0 before any time has elapsed — a zero-cycle
-// run must not leak NaN into downstream ratio columns. The clamp covers
-// the mid-slot case: BusyCycles charges a granted slot in full at grant
-// time, so a reading taken while the last slot is still crossing can see
-// busy > elapsed.
-func (b *Bus) Utilization() float64 {
-	return clampUtil(float64(b.stats.BusyCycles), float64(b.eng.Now()))
-}
-
-// clampUtil is the shared utilization arithmetic: busy over capacity
-// clamped to [0, 1], with zero (not NaN/Inf) for zero elapsed capacity.
-func clampUtil(busy, capacity float64) float64 {
-	if capacity <= 0 {
-		return 0
-	}
-	u := busy / capacity
-	if u > 1 {
-		return 1
-	}
-	return u
 }

@@ -126,21 +126,6 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, 4)
-	if b.Utilization() != 0 {
-		t.Fatal("utilization non-zero at t=0")
-	}
-	b.Send(0, 0, 0, func() {})
-	eng.Schedule(8, func() {})
-	eng.Run()
-	// 4 busy cycles over 8 elapsed.
-	if got := b.Utilization(); got != 0.5 {
-		t.Fatalf("utilization %f, want 0.5", got)
-	}
-}
-
 func TestZeroOccupancyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -31,12 +31,10 @@ import (
 //
 // The degenerate single-tile fabric ("mesh:1x1", "ring:1") has exactly
 // one link — local port 0 — and every message (local or vendor) crosses
-// just it, so it is the single Bus by construction; the topology golden
-// pins the byte-identity over the whole done-set.
+// just it, so it is the single Bus by construction; the done-set
+// equivalence harness pins the byte-identity.
 type Fabric struct {
-	eng       *sim.Engine
-	topo      Topology
-	occupancy sim.Time
+	topo Topology
 	// links[0:n] are the tiles' local (ejection) ports; directional
 	// links follow (see eastLink/westLink/southLink/northLink for the
 	// mesh layout, cwLink/ccwLink for the ring).
@@ -74,7 +72,7 @@ func NewFabric(eng *sim.Engine, occupancy sim.Time, topo Topology) *Fabric {
 	default:
 		panic(fmt.Sprintf("bus: fabric topology %q (want mesh or ring)", topo.Kind))
 	}
-	f := &Fabric{eng: eng, topo: topo, occupancy: occupancy}
+	f := &Fabric{topo: topo}
 	f.links = make([]*Bus, nlinks)
 	for i := range f.links {
 		f.links[i] = New(eng, occupancy)
@@ -245,9 +243,6 @@ func (f *Fabric) getHop() *hopOp {
 // every interleave key maps to bank 0 and the bank argument is inert.
 func (f *Fabric) Banks() int { return 1 }
 
-// Occupancy returns the per-link hold time of one message.
-func (f *Fabric) Occupancy() sim.Time { return f.occupancy }
-
 // Topology returns the fabric's parsed geometry.
 func (f *Fabric) Topology() Topology { return f.topo }
 
@@ -284,16 +279,6 @@ func (f *Fabric) Queued() int {
 		n += l.Queued()
 	}
 	return n
-}
-
-// Utilization returns busy-cycles over elapsed wire-capacity cycles
-// (elapsed time times link count), clamped to [0, 1].
-func (f *Fabric) Utilization() float64 {
-	var busy uint64
-	for _, l := range f.links {
-		busy += l.Stats().BusyCycles
-	}
-	return clampUtil(float64(busy), float64(f.eng.Now())*float64(len(f.links)))
 }
 
 // Reset implements Interconnect: every link resets (empty queues, free

@@ -119,9 +119,6 @@ func (x *Xbar) node(id int) int {
 // so every interleave key maps to bank 0 and the bank argument is inert.
 func (x *Xbar) Banks() int { return 1 }
 
-// Occupancy returns the per-message hold time of one pair's wires.
-func (x *Xbar) Occupancy() sim.Time { return x.occupancy }
-
 // Ports returns the port count.
 func (x *Xbar) Ports() int { return x.nodes }
 
@@ -148,14 +145,6 @@ func (x *Xbar) BankStats() []Stats {
 // Queued returns the number of messages in flight (reserved, awaiting
 // their slot end).
 func (x *Xbar) Queued() int { return x.queued }
-
-// Utilization returns busy-cycles over elapsed port-capacity cycles
-// (elapsed time times port count — each port can inject one message per
-// occupancy), clamped to [0, 1].
-func (x *Xbar) Utilization() float64 {
-	return clampUtil(float64(x.Stats().BusyCycles),
-		float64(x.eng.Now())*float64(x.nodes))
-}
 
 // Reset implements Interconnect: all pair ledgers free, counters zeroed,
 // storage retained. In-flight operations are abandoned with the engine's

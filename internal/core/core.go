@@ -92,13 +92,6 @@ func RunOne(rs RunSpec, gated bool) (*tcc.Result, error) {
 	return RunOneRecorded(rs, gated, nil)
 }
 
-// RunOneCtx is RunOne with context cancellation: the context is checked
-// before the run starts and polled periodically while the simulation is
-// in flight, so a cancellation surfaces promptly as ctx.Err().
-func RunOneCtx(ctx context.Context, rs RunSpec, gated bool) (*tcc.Result, error) {
-	return runOne(ctx, rs, gated, nil)
-}
-
 // RunOneRecorded is RunOne with a protocol event recorder attached to the
 // machine (nil records nothing).
 func RunOneRecorded(rs RunSpec, gated bool, rec *trace.Recorder) (*tcc.Result, error) {
@@ -143,22 +136,16 @@ type SystemCache struct {
 // RunPair executes the spec twice on the identical trace — ungated
 // baseline and gated — and compares them with the paper's energy model.
 func RunPair(rs RunSpec) (*Outcome, error) {
-	return RunPairCtx(context.Background(), rs)
+	return RunPairCached(context.Background(), rs, nil)
 }
 
-// RunPairCtx is RunPair with context cancellation threaded through both
-// runs: the context is checked between phases and polled inside each
-// simulation, so a canceled campaign stops mid-run instead of finishing
-// the cell. A run that is not canceled is byte-identical to RunPair.
-func RunPairCtx(ctx context.Context, rs RunSpec) (*Outcome, error) {
-	return RunPairCached(ctx, rs, nil)
-}
-
-// RunPairCached is RunPairCtx with an optional per-worker System cache:
-// both runs of the pair (and every later pair of the same machine shape)
-// execute on one reused System instead of constructing a fresh machine
-// per run. A nil cache selects fresh construction — the exact RunPairCtx
-// behavior — and results are byte-identical either way.
+// RunPairCached is RunPair with context cancellation and an optional
+// per-worker System cache. The context is checked between phases and
+// polled inside each simulation, so a canceled campaign stops mid-run
+// instead of finishing the cell. With a cache, both runs of the pair (and
+// every later pair of the same machine shape) execute on one reused
+// System instead of constructing a fresh machine per run; a nil cache
+// selects fresh construction. Results are byte-identical either way.
 func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

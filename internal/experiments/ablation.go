@@ -107,14 +107,6 @@ func srpgRows(out *core.Outcome) []AblationResult {
 	return rows
 }
 
-// AblationPolicies runs the policy ablation on a one-shot Session; see
-// Session.AblationPolicies.
-func AblationPolicies(o Options) ([]AblationResult, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.AblationPolicies(context.Background())
-}
-
 // AblationPolicies compares gating-window policies on the most contended
 // configuration (intruder at the largest core count). The paper's §VI
 // argues plain back-off policies are a poor fit for highly contentious
@@ -129,14 +121,6 @@ func (s *Session) AblationPolicies(ctx context.Context) ([]AblationResult, error
 	return policyRows(outs), nil
 }
 
-// AblationRenewal runs the renewal ablation on a one-shot Session; see
-// Session.AblationRenewal.
-func AblationRenewal(o Options) ([]AblationResult, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.AblationRenewal(context.Background())
-}
-
 // AblationRenewal measures the renewal mechanism's contribution on the
 // workload the paper credits it for (yada: long, loop-repeated
 // transactions). Both variants run on the session's worker pool against
@@ -147,14 +131,6 @@ func (s *Session) AblationRenewal(ctx context.Context) ([]AblationResult, error)
 		return nil, fmt.Errorf("experiments: renewal ablation: %w", err)
 	}
 	return renewalRows(outs), nil
-}
-
-// AblationSRPG runs the SRPG ablation on a one-shot Session; see
-// Session.AblationSRPG.
-func AblationSRPG(o Options) ([]AblationResult, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.AblationSRPG(context.Background())
 }
 
 // AblationSRPG re-prices one paired run under state-retention power gating
@@ -194,14 +170,6 @@ func renderAblation(title string, rows []AblationResult) string {
 	return t.Render()
 }
 
-// Ablations runs the ablation suite on a one-shot Session; see
-// Session.Ablations.
-func Ablations(o Options) (string, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.Ablations(context.Background())
-}
-
 // Ablations runs the full ablation suite and renders the tables. All
 // three studies' cells execute as one combined set on the session's
 // worker pool — no per-run fan-out — and the intruder cells share one
@@ -229,11 +197,4 @@ func (s *Session) Ablations(ctx context.Context) (string, error) {
 	out += renderAblation("Ablation: state-retention power gating (intruder, max cores)",
 		srpgRows(outs[len(pol)+len(ren)]))
 	return out, nil
-}
-
-// Extended runs the paired campaign over the five extension presets that
-// are not part of the paper's evaluation.
-func Extended(o Options) (*Campaign, error) {
-	o.Apps = []stamp.App{stamp.Bayes, stamp.KMeans, stamp.Labyrinth, stamp.SSCA2, stamp.Vacation}
-	return Run(o)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func tinyOptions() Options {
 }
 
 func TestAblationPolicies(t *testing.T) {
-	rows, err := AblationPolicies(tinyOptions())
+	rows, err := newSession(t, tinyOptions()).AblationPolicies(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestAblationPolicies(t *testing.T) {
 }
 
 func TestAblationRenewal(t *testing.T) {
-	rows, err := AblationRenewal(tinyOptions())
+	rows, err := newSession(t, tinyOptions()).AblationRenewal(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAblationRenewal(t *testing.T) {
 }
 
 func TestAblationSRPG(t *testing.T) {
-	rows, err := AblationSRPG(tinyOptions())
+	rows, err := newSession(t, tinyOptions()).AblationSRPG(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestAblationSRPG(t *testing.T) {
 }
 
 func TestAblationsRender(t *testing.T) {
-	out, err := Ablations(tinyOptions())
+	out, err := newSession(t, tinyOptions()).Ablations(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,8 @@ func TestAblationsRender(t *testing.T) {
 
 func TestExtendedCampaign(t *testing.T) {
 	o := tinyOptions()
-	c, err := Extended(o)
+	o.Apps = []stamp.App{stamp.Bayes, stamp.KMeans, stamp.Labyrinth, stamp.SSCA2, stamp.Vacation}
+	c, err := newSession(t, o).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestExtendedCampaign(t *testing.T) {
 	for _, out := range c.Outcomes {
 		seen[out.Spec.App] = true
 	}
-	for _, app := range []stamp.App{stamp.Bayes, stamp.KMeans, stamp.Labyrinth, stamp.SSCA2, stamp.Vacation} {
+	for _, app := range o.Apps {
 		if !seen[app] {
 			t.Fatalf("extension app %s missing", app)
 		}

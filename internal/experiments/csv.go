@@ -36,11 +36,7 @@ import (
 // fabrics the bank_* columns carry one entry per link (mesh/ring: local
 // ports then directional channels) or per port (xbar), and bus_rounds
 // counts per-link crossings. banks is the bus interconnect shape (0 =
-// the single split bus, 1+ = the banked bus) and stays the LAST column,
-// with topology immediately before it: the interconnect and topology
-// differential goldens compare CSVs with the trailing column(s)
-// stripped, since those differ by construction between the campaigns
-// they run.
+// the single split bus, 1+ = the banked bus).
 var csvHeader = []string{
 	"app", "processors", "n1_cycles", "n2_cycles", "speedup",
 	"eug", "eg", "energy_ratio", "power_ratio",

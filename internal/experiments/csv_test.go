@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/csv"
 	"os"
 	"path/filepath"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestWriteCSV(t *testing.T) {
-	c, err := Run(tinyOptions())
+	c, err := newSession(t, tinyOptions()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestWriteCSV(t *testing.T) {
 // instead of producing a silently corrupt concatenation, must accept its
 // own header, and must leave plain writers (shard buffers) untouched.
 func TestAppendCSVValidatesFileHeader(t *testing.T) {
-	c, err := Run(tinyOptions())
+	c, err := newSession(t, tinyOptions()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestAppendCSVValidatesFileHeader(t *testing.T) {
 // workflow: a shard-N file (rows only, no header) must accept further
 // appends — only an actual mismatched header row is a refusal.
 func TestAppendCSVAcceptsHeaderlessShardFile(t *testing.T) {
-	c, err := Run(tinyOptions())
+	c, err := newSession(t, tinyOptions()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func campaignCSV(t *testing.T, o Options) string {
 	t.Helper()
-	c, err := Run(o)
+	c, err := newSession(t, o).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func campaignCSV(t *testing.T, o Options) string {
 
 func campaignReports(t *testing.T, o Options) string {
 	t.Helper()
-	c, err := Run(o)
+	c, err := newSession(t, o).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestShardedCSVConcatenatesToFullCSV(t *testing.T) {
 		for idx := 0; idx < count; idx++ {
 			op := o
 			op.Shard = Shard{Index: idx, Count: count}
-			c, err := Run(op)
+			c, err := newSession(t, op).Run(context.Background())
 			if err != nil {
 				t.Fatalf("shard %d/%d: %v", idx, count, err)
 			}
@@ -164,7 +164,7 @@ func TestScenarioCampaignDeterministic(t *testing.T) {
 	render := func(workers int) string {
 		op := o
 		op.Workers = workers
-		c, err := RunScenarios(op, scenarios)
+		c, err := newSession(t, op).RunScenarios(context.Background(), scenarios)
 		if err != nil {
 			t.Fatal(err)
 		}

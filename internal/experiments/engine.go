@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/bus"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/stamp"
@@ -251,30 +249,4 @@ func ScaledSpec(app stamp.App, threads int, scale float64) (workload.Spec, error
 		}
 	}
 	return spec, nil
-}
-
-// RunCells executes the given cells on a one-shot Session across
-// o.Workers goroutines (1 or fewer means sequential) and returns outcomes
-// in the cells' given order. Each cell is self-contained, so the schedule
-// cannot affect results: for the same cells, every worker count produces
-// identical outcomes. On failure the error of the lowest-index failing
-// cell is returned, so error reporting is deterministic too.
-//
-// Callers running more than one sweep should create a Session themselves
-// and reuse it, which also reuses its trace cache.
-func (o Options) RunCells(cells []Cell) ([]*core.Outcome, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.RunCells(context.Background(), cells)
-}
-
-// Run executes the campaign's (possibly sharded) cell set on a one-shot
-// Session. Sequential (Workers <= 1) and parallel runs produce
-// byte-identical reports and CSV for the same Options. Run wraps
-// NewSession(o).Run(context.Background()); use a Session directly for
-// streaming results, cancellation, or checkpoint/resume.
-func Run(o Options) (*Campaign, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.Run(context.Background())
 }

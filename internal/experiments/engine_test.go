@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -123,14 +124,14 @@ func TestShardValidation(t *testing.T) {
 func TestRunCellsWorkerCountsAgree(t *testing.T) {
 	o := quickOptions()
 	cells := o.Cells()
-	seq, err := o.RunCells(cells)
+	seq, err := newSession(t, o).RunCells(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 100} {
 		op := o
 		op.Workers = workers
-		par, err := op.RunCells(cells)
+		par, err := newSession(t, op).RunCells(context.Background(), cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestRunCellsErrorIsDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		op := o
 		op.Workers = workers
-		_, err := op.RunCells(cells)
+		_, err := newSession(t, op).RunCells(context.Background(), cells)
 		if err == nil {
 			t.Fatalf("workers=%d: poisoned campaign succeeded", workers)
 		}
@@ -168,7 +169,7 @@ func TestRunCellsErrorIsDeterministic(t *testing.T) {
 
 func TestRunShardedCampaign(t *testing.T) {
 	o := quickOptions()
-	full, err := Run(o)
+	full, err := newSession(t, o).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestRunShardedCampaign(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		op := o
 		op.Shard = Shard{Index: i, Count: 2}
-		c, err := Run(op)
+		c, err := newSession(t, op).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ type Options struct {
 	// NoSystemReuse disables the per-worker System cache, constructing a
 	// fresh simulated machine for every run. Results are identical either
 	// way (the reuse path's byte-identity contract is pinned by the
-	// done-set reuse golden); this exists for benchmarks and the
+	// done-set equivalence harness); this exists for benchmarks and the
 	// differential tests themselves.
 	NoSystemReuse bool
 	// TraceDir, when non-empty, names an on-disk tracestore directory
@@ -326,14 +326,6 @@ func fig7Cells(o Options) []Cell {
 		}
 	}
 	return cells
-}
-
-// Fig7 runs the speed-up sensitivity analysis over W0 and the processor
-// count (paper Figure 7) on a one-shot Session; see Session.Fig7.
-func Fig7(o Options) (string, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.Fig7(context.Background())
 }
 
 // Fig7 runs the W0/Np speed-up sensitivity sweep (paper Figure 7).

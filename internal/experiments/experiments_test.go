@@ -1,11 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/stamp"
 )
+
+// newSession returns a Session for o that closes when the test ends.
+func newSession(t testing.TB, o Options) *Session {
+	t.Helper()
+	s := NewSession(o)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
 
 // quickOptions is a fast, scaled-down campaign for tests.
 func quickOptions() Options {
@@ -49,7 +58,7 @@ func TestFig3Text(t *testing.T) {
 }
 
 func TestCampaignRunsAndRenders(t *testing.T) {
-	c, err := Run(quickOptions())
+	c, err := newSession(t, quickOptions()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +90,7 @@ func TestCampaignRunsAndRenders(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	c, err := Run(quickOptions())
+	c, err := newSession(t, quickOptions()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestFig7Runs(t *testing.T) {
 	o := quickOptions()
 	o.Processors = []int{2}
 	o.Apps = []stamp.App{stamp.Intruder}
-	out, err := Fig7(o)
+	out, err := newSession(t, o).Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

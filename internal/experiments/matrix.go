@@ -492,14 +492,6 @@ func DoneScenarios() []Scenario {
 	return out
 }
 
-// RunScenarios executes the given scenario-matrix cases on a one-shot
-// Session; see Session.RunScenarios.
-func RunScenarios(o Options, scenarios []Scenario) (*Campaign, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.RunScenarios(context.Background(), scenarios)
-}
-
 // ScenarioCells converts the scenarios into run-cells in the given
 // (canonical) order, exactly as Session.RunScenarios executes them:
 // each cell's seed derives from the campaign seed and the scenario's

@@ -290,7 +290,7 @@ func TestRunScenariosLabelsByCase(t *testing.T) {
 		}
 		scenarios = append(scenarios, s)
 	}
-	c, err := RunScenarios(o, scenarios)
+	c, err := newSession(t, o).RunScenarios(context.Background(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}

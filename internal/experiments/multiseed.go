@@ -45,14 +45,6 @@ type MultiSeedSummary struct {
 	Slowdowns []int
 }
 
-// MultiSeed runs the multi-seed aggregation on a one-shot Session; see
-// Session.MultiSeed.
-func MultiSeed(o Options, seeds []uint64) (*MultiSeedSummary, error) {
-	s := NewSession(o)
-	defer s.Close()
-	return s.MultiSeed(context.Background(), seeds)
-}
-
 // MultiSeed runs the full campaign once per seed and aggregates the
 // headline metrics, quantifying how sensitive the results are to the
 // workload randomness (the paper reports single runs; this is the

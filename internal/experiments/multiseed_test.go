@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestNewSeedStats(t *testing.T) {
 func TestMultiSeed(t *testing.T) {
 	o := tinyOptions()
 	o.Apps = nil // default three apps at tiny scale
-	ms, err := MultiSeed(o, []uint64{1, 2, 3})
+	ms, err := newSession(t, o).MultiSeed(context.Background(), []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMultiSeed(t *testing.T) {
 }
 
 func TestMultiSeedNeedsSeeds(t *testing.T) {
-	if _, err := MultiSeed(tinyOptions(), nil); err == nil {
+	if _, err := newSession(t, tinyOptions()).MultiSeed(context.Background(), nil); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }

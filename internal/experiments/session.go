@@ -380,9 +380,8 @@ func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 // traceKey identifies a generated trace. W0, the interconnect shape
 // (Cell.Banks, Cell.Topology) and the variant are absent on purpose:
 // they change the machine, never the workload, which is what lets Fig7's
-// W0 sweep, the
-// ablation suite and the interconnect differential goldens share one
-// trace per (app, threads, seed) point. Processor count IS in the key
+// W0 sweep and the ablation suite share one trace per (app, threads,
+// seed) point. Processor count IS in the key
 // (threads): two cells at different machine widths generate different
 // workloads even when every other axis matches. Pinned by
 // TestTraceCacheKeyAudit.

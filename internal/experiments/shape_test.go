@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/stamp"
@@ -15,7 +16,7 @@ func TestShapeRegression(t *testing.T) {
 		t.Skip("multi-second campaign; skipped with -short")
 	}
 	o := Options{Seed: 42, Scale: 0.25}
-	c, err := Run(o)
+	c, err := newSession(t, o).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

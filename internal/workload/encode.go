@@ -1,19 +1,14 @@
 package workload
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-
-	"repro/internal/mem"
 )
 
 // ErrCorrupt is the sentinel wrapped by every trace-decode failure —
 // truncation, bad magic, checksum mismatches, length prefixes that
-// disagree with the input. Decoders consume bytes another process may
-// have half-written or a disk may have mangled (the trace store loads
+// disagree with the input. The decoder consumes bytes another process
+// may have half-written or a disk may have mangled (the trace store loads
 // them concurrently with writers), so callers branch on
 // errors.Is(err, ErrCorrupt) to quarantine and regenerate instead of
 // failing the run.
@@ -22,199 +17,4 @@ var ErrCorrupt = errors.New("workload: corrupt trace")
 // corruptf wraps ErrCorrupt with context, analogous to fmt.Errorf.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("workload: "+format+": %w", append(args, ErrCorrupt)...)
-}
-
-// Binary trace format:
-//
-//	magic   [8]byte  "CGTRACE1"
-//	nameLen uint32, name bytes
-//	threads uint32
-//	per thread:
-//	  txs uint32
-//	  per tx: interTx int32, pc uint64, ops uint32,
-//	          per op: kind uint8, then line uint64 (read/write)
-//	                  or cycles int32 (compute)
-//
-// All integers are little-endian. The format exists so generated
-// workloads can be archived and replayed bit-identically across machines.
-
-var traceMagic = [8]byte{'C', 'G', 'T', 'R', 'A', 'C', 'E', '1'}
-
-// Encode writes the trace to w in the binary trace format.
-func Encode(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	writeU32 := func(v uint32) error {
-		var buf [4]byte
-		le.PutUint32(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		le.PutUint64(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	if err := writeU32(uint32(len(tr.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(tr.Name); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(len(tr.Threads))); err != nil {
-		return err
-	}
-	for ti := range tr.Threads {
-		th := &tr.Threads[ti]
-		if len(th.InterTx) != len(th.Txs) {
-			return fmt.Errorf("workload: encode: thread %d inconsistent InterTx", ti)
-		}
-		if err := writeU32(uint32(len(th.Txs))); err != nil {
-			return err
-		}
-		for xi := range th.Txs {
-			tx := &th.Txs[xi]
-			if err := writeU32(uint32(th.InterTx[xi])); err != nil {
-				return err
-			}
-			if err := writeU64(tx.PC); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(len(tx.Ops))); err != nil {
-				return err
-			}
-			for _, op := range tx.Ops {
-				if err := bw.WriteByte(byte(op.Kind)); err != nil {
-					return err
-				}
-				switch op.Kind {
-				case OpRead, OpWrite:
-					if err := writeU64(uint64(op.Line)); err != nil {
-						return err
-					}
-				case OpCompute:
-					if err := writeU32(uint32(op.Cycles)); err != nil {
-						return err
-					}
-				default:
-					return fmt.Errorf("workload: encode: bad op kind %d", op.Kind)
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// decodeChunk caps the capacity any single length prefix can size ahead
-// of the bytes that back it. A prefix claiming a billion transactions in
-// a 100-byte file must fail on the next read, not allocate gigabytes
-// first: slices grow by append as elements are actually decoded, so the
-// allocation never runs ahead of the input by more than one chunk.
-const decodeChunk = 4096
-
-// Decode reads a trace in the binary trace format. The input is treated
-// as untrusted — the trace store hands Decode files another process may
-// have half-written or a disk may have mangled — so every length prefix
-// is bounded by the bytes that actually follow it, and every failure
-// wraps ErrCorrupt.
-func Decode(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corruptf("decode magic: %v", err)
-	}
-	if magic != traceMagic {
-		return nil, corruptf("bad trace magic %q", magic)
-	}
-	le := binary.LittleEndian
-	readU32 := func() (uint32, error) {
-		var buf [4]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return le.Uint32(buf[:]), nil
-	}
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return le.Uint64(buf[:]), nil
-	}
-	nameLen, err := readU32()
-	if err != nil {
-		return nil, corruptf("decode name length: %v", err)
-	}
-	const maxName = 1 << 16
-	if nameLen > maxName {
-		return nil, corruptf("name length %d exceeds limit", nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, corruptf("decode name: %v", err)
-	}
-	nThreads, err := readU32()
-	if err != nil {
-		return nil, corruptf("decode thread count: %v", err)
-	}
-	const maxThreads = 1 << 16
-	if nThreads == 0 || nThreads > maxThreads {
-		return nil, corruptf("thread count %d out of range", nThreads)
-	}
-	tr := &Trace{Name: string(nameBuf), Threads: make([]Thread, nThreads)}
-	for ti := range tr.Threads {
-		nTxs, err := readU32()
-		if err != nil {
-			return nil, corruptf("decode thread %d: %v", ti, err)
-		}
-		th := &tr.Threads[ti]
-		th.Txs = make([]Transaction, 0, min(int(nTxs), decodeChunk))
-		th.InterTx = make([]int32, 0, min(int(nTxs), decodeChunk))
-		for xi := 0; xi < int(nTxs); xi++ {
-			inter, err := readU32()
-			if err != nil {
-				return nil, corruptf("decode tx header: %v", err)
-			}
-			pc, err := readU64()
-			if err != nil {
-				return nil, corruptf("decode tx pc: %v", err)
-			}
-			nOps, err := readU32()
-			if err != nil {
-				return nil, corruptf("decode op count: %v", err)
-			}
-			tx := Transaction{PC: pc, Ops: make([]Op, 0, min(int(nOps), decodeChunk))}
-			for oi := 0; oi < int(nOps); oi++ {
-				kind, err := br.ReadByte()
-				if err != nil {
-					return nil, corruptf("decode op kind: %v", err)
-				}
-				op := Op{Kind: OpKind(kind)}
-				switch op.Kind {
-				case OpRead, OpWrite:
-					line, err := readU64()
-					if err != nil {
-						return nil, corruptf("decode op line: %v", err)
-					}
-					op.Line = mem.LineAddr(line)
-				case OpCompute:
-					cy, err := readU32()
-					if err != nil {
-						return nil, corruptf("decode op cycles: %v", err)
-					}
-					op.Cycles = int32(cy)
-				default:
-					return nil, corruptf("decode: bad op kind %d", kind)
-				}
-				tx.Ops = append(tx.Ops, op)
-			}
-			th.Txs = append(th.Txs, tx)
-			th.InterTx = append(th.InterTx, int32(inter))
-		}
-	}
-	return tr, nil
 }

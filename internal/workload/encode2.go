@@ -10,10 +10,11 @@ import (
 	"repro/internal/mem"
 )
 
-// CGTRACE2 is the flat columnar trace format behind the shared on-disk
-// trace store (internal/tracestore). Where CGTRACE1 interleaves per-op
-// records for streaming, CGTRACE2 lays every column out as one
-// contiguous, 8-aligned array so a decoder handed the whole file — in
+// CGTRACE2 is the binary trace format: the shared on-disk trace store
+// (internal/tracestore) keeps its entries in it, and cmd/tracegen
+// archives generated workloads in it so they replay bit-identically
+// across machines. It is a flat columnar layout: every column is one
+// contiguous, 8-aligned array, so a decoder handed the whole file — in
 // particular an mmap'd region — can materialize a read-only *Trace whose
 // op arrays are slices aliasing the file bytes, with zero per-load
 // copies of the op payload. Aliasing is safe because a Trace is

@@ -6,7 +6,12 @@ import (
 	"errors"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 func TestV2RoundTrip(t *testing.T) {
@@ -159,61 +164,140 @@ func TestV2DecodeAllocBounded(t *testing.T) {
 	}
 }
 
-func TestDecodeWrapsErrCorrupt(t *testing.T) {
-	// CGTRACE1: truncation, bad magic and lying counts all wrap the
-	// sentinel, so the store can branch on errors.Is to quarantine.
-	if _, err := Decode(bytes.NewReader([]byte("NOTATRACE-------"))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic: err = %v, want ErrCorrupt", err)
+// TestEncodeDecodeRoundTrip drives the archive path cmd/tracegen and
+// cmd/tccsim use: EncodeV2 writes the file, DecodeV2Bytes reads it whole.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	s := validSpec()
+	tr, err := s.Generate(4, 42)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := EncodeV2(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeV2Bytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != tr.Name || !reflect.DeepEqual(got.Threads, tr.Threads) {
+		t.Fatal("trace not preserved by the file round trip")
+	}
+}
+
+// TestDecodeRejectsBadMagic: a foreign file, including one in the
+// previous trace format (its magic differs only in the version digit),
+// is a clean bad-magic error, never a misparse.
+func TestDecodeRejectsBadMagic(t *testing.T) {
 	s := validSpec()
 	tr, err := s.Generate(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	full, err := MarshalV2(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(full[:len(full)/2])); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncation: err = %v, want ErrCorrupt", err)
+	foreign := bytes.Clone(full)
+	copy(foreign, "NOTTRACE")
+	previous := bytes.Clone(full)
+	previous[7] = '1'
+	for _, data := range [][]byte{foreign, previous} {
+		_, err := DecodeV2Bytes(data)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad trace magic") {
+			t.Fatalf("magic %q: err = %v, want a bad-magic ErrCorrupt", data[:8], err)
+		}
 	}
 }
 
-// TestDecodeLyingCountsNoOOM feeds headers whose length prefixes claim
-// astronomically more elements than the input holds. The decoder must
-// fail on the missing bytes without sizing allocations from the lie.
-func TestDecodeLyingCountsNoOOM(t *testing.T) {
-	le := binary.LittleEndian
-	var buf bytes.Buffer
-	buf.WriteString("CGTRACE1")
-	var u32 [4]byte
-	le.PutUint32(u32[:], 0) // empty name
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 1) // one thread
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 0xffff_ffff) // claiming 4B transactions
-	buf.Write(u32[:])
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("lying tx count: err = %v, want ErrCorrupt", err)
+// TestDecodeRejectsAbsurdCounts sets each header count past its limit,
+// checksum fixed up: the range checks must reject it before any offset
+// arithmetic can overflow.
+func TestDecodeRejectsAbsurdCounts(t *testing.T) {
+	s := validSpec()
+	tr, err := s.Generate(2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	full, err := MarshalV2(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	for name, lie := range map[string]func([]byte){
+		"name length":  func(b []byte) { le.PutUint32(b[16:], 1<<31) },
+		"zero threads": func(b []byte) { le.PutUint32(b[20:], 0) },
+		"threads":      func(b []byte) { le.PutUint32(b[20:], v2MaxThreads+1) },
+		"txs":          func(b []byte) { le.PutUint64(b[24:], 1<<63) },
+		"ops":          func(b []byte) { le.PutUint64(b[32:], 1<<62) },
+	} {
+		mut := bytes.Clone(full)
+		lie(mut)
+		fixV2Checksum(mut)
+		if _, err := DecodeV2Bytes(mut); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("absurd %s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
 
-	// Same lie one level down: a single tx claiming 4B ops.
-	buf.Reset()
-	buf.WriteString("CGTRACE1")
-	le.PutUint32(u32[:], 0)
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 1)
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 1) // one tx
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], 5) // interTx
-	buf.Write(u32[:])
-	var u64 [8]byte
-	buf.Write(u64[:]) // pc
-	le.PutUint32(u32[:], 0xffff_ffff)
-	buf.Write(u32[:])
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("lying op count: err = %v, want ErrCorrupt", err)
+func TestEncodeRejectsInconsistentThread(t *testing.T) {
+	tr := &Trace{Name: "bad", Threads: []Thread{{
+		Txs:     []Transaction{{PC: 1, Ops: []Op{{Kind: OpRead, Line: 1}}}},
+		InterTx: nil, // length mismatch
+	}}}
+	if _, err := MarshalV2(tr); err == nil {
+		t.Fatal("inconsistent thread encoded")
+	}
+}
+
+func TestEncodeRejectsBadOpKind(t *testing.T) {
+	tr := &Trace{Name: "bad", Threads: []Thread{{
+		Txs:     []Transaction{{PC: 1, Ops: []Op{{Kind: 77}}}},
+		InterTx: []int32{1},
+	}}}
+	if _, err := MarshalV2(tr); err == nil {
+		t.Fatal("bad op kind encoded")
+	}
+}
+
+// Property: random hand-built traces, compute ops included, survive the
+// round trip bit-exactly.
+func TestQuickRoundTrip(t *testing.T) {
+	f := func(seed uint64, nThreads, nTxs uint8) bool {
+		rng := sim.NewRNG(seed, 3)
+		threads := int(nThreads%4) + 1
+		txs := int(nTxs%8) + 1
+		tr := &Trace{Name: "q"}
+		for i := 0; i < threads; i++ {
+			th := Thread{}
+			for x := 0; x < txs; x++ {
+				tx := Transaction{PC: rng.Uint64()}
+				for o := 0; o < rng.Intn(6)+1; o++ {
+					switch rng.Intn(3) {
+					case 0:
+						tx.Ops = append(tx.Ops, Op{Kind: OpRead, Line: mem.LineAddr(rng.Intn(1 << 20))})
+					case 1:
+						tx.Ops = append(tx.Ops, Op{Kind: OpWrite, Line: mem.LineAddr(rng.Intn(1 << 20))})
+					default:
+						tx.Ops = append(tx.Ops, Op{Kind: OpCompute, Cycles: int32(rng.Intn(100) + 1)})
+					}
+				}
+				th.Txs = append(th.Txs, tx)
+				th.InterTx = append(th.InterTx, int32(rng.Intn(50)))
+			}
+			tr.Threads = append(tr.Threads, th)
+		}
+		buf, err := MarshalV2(tr)
+		if err != nil {
+			return false
+		}
+		got, err := DecodeV2Bytes(buf)
+		if err != nil {
+			return false
+		}
+		return reflect.DeepEqual(got.Threads, tr.Threads) && got.Name == tr.Name
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
