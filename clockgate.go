@@ -144,10 +144,10 @@
 // selects the shape (0 = single bus, a power of two = that many banks),
 // DefaultBankedConfig64/128 are the wide presets, CampaignOptions.Banks
 // and Cell.Banks thread it through campaigns, and `cmd/experiments
-// -banks N` through the CLI. Banks=1 is cycle-identical to the single
-// bus — a differential golden over the whole E2E done-set pins that —
-// and docs/ENGINE.md specifies the interleave function and cross-bank
-// dispatch order.
+// -banks N` through the CLI. Banks=1 is the single bus's one link — the
+// banks=1 row of TestDoneSetEquivalence pins the byte-identity over the
+// whole E2E done-set — and docs/ENGINE.md specifies the interleave and
+// cross-bank dispatch order.
 //
 // Beyond the bus models, Config.Machine.Topology selects a point-to-point
 // fabric: "xbar" (a full crossbar with per source→destination pair
@@ -159,9 +159,9 @@
 // -topology spec` through the CLI. The fabrics replace banking rather
 // than composing with it (non-bus topologies require Banks=0), and their
 // degenerate shapes — a 1×1 mesh or a 1-node ring — are byte-identical
-// to the single bus over the whole E2E done-set, pinned by the topology
-// golden. docs/ENGINE.md specifies the routing functions and the
-// per-link dispatch order.
+// to the single bus over the whole E2E done-set, pinned by the mesh:1x1
+// and ring:1 rows of TestDoneSetEquivalence. docs/ENGINE.md specifies
+// the routing functions and the per-link dispatch order.
 package clockgate
 
 import (
@@ -283,7 +283,8 @@ func TechNames() []string { return energy.Names() }
 // in canonical order within each block — without re-simulating
 // anything: energy is a pure function of the journal's integer residency
 // totals and the tech's power model, so the result is byte-identical to
-// a fresh simulated run under each tech (pinned by the reprice golden).
+// a fresh simulated run under each tech (pinned by the reprice row of
+// TestDoneSetEquivalence).
 // With no techs given, records re-price under their own recorded tech
 // points, regenerating the journal's campaign output as-is. The CLI form
 // is `experiments -reprice journal.jsonl -tech name[,name...]`.

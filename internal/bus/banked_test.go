@@ -2,21 +2,26 @@ package bus
 
 import (
 	"fmt"
-	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
+// newBanked builds a bus of the given bank count.
+func newBanked(eng *sim.Engine, occupancy sim.Time, banks int) Interconnect {
+	return NewInterconnect(eng, occupancy, banks, 1, "")
+}
+
 func TestBankedMessagesCrossInParallel(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBanked(eng, 4, 4)
+	b := newBanked(eng, 4, 4)
 	times := map[int]sim.Time{}
 	// One message per bank, all issued in the same cycle: no queueing
 	// anywhere, every crossing completes at t=4.
 	for bank := 0; bank < 4; bank++ {
 		bank := bank
-		b.Send(0, 0, bank, func() { times[bank] = eng.Now() })
+		b.Send(0, 0, uint64(bank), func() { times[bank] = eng.Now() })
 	}
 	eng.Run()
 	for bank, at := range times {
@@ -31,7 +36,7 @@ func TestBankedMessagesCrossInParallel(t *testing.T) {
 
 func TestBankedPerBankFIFOAndSerialization(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBanked(eng, 10, 2)
+	b := newBanked(eng, 10, 2)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
@@ -58,10 +63,10 @@ func TestBankedSameCycleCrossBankOrderRotates(t *testing.T) {
 	// round two starting at bank 1 — cross-bank order is deterministic
 	// but no bank owns a permanent priority.
 	eng := sim.NewEngine()
-	b := NewBanked(eng, 4, 2)
+	b := newBanked(eng, 4, 2)
 	var order []string
-	send := func(tag string, bank int) {
-		b.Send(0, 0, bank, func() { order = append(order, fmt.Sprintf("%s@%d", tag, eng.Now())) })
+	send := func(tag string, key uint64) {
+		b.Send(0, 0, key, func() { order = append(order, fmt.Sprintf("%s@%d", tag, eng.Now())) })
 	}
 	send("a0", 0)
 	send("a1", 1)
@@ -81,7 +86,7 @@ func TestBankedPumpPullsForwardForEarlierBank(t *testing.T) {
 	// send on idle bank 1: its delivery is due earlier than the armed
 	// pump and must not wait for it.
 	eng := sim.NewEngine()
-	b := NewBanked(eng, 10, 2)
+	b := newBanked(eng, 10, 2)
 	for i := 0; i < 4; i++ {
 		b.Send(0, 0, 0, func() {})
 	}
@@ -95,45 +100,34 @@ func TestBankedPumpPullsForwardForEarlierBank(t *testing.T) {
 	}
 }
 
-func TestBankedBankOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range bank did not panic")
-		}
-	}()
-	NewBanked(sim.NewEngine(), 2, 4).Send(0, 0, 4, func() {})
-}
-
-func TestNewBankedRejectsNonPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("banks=3 did not panic")
-		}
-	}()
-	NewBanked(sim.NewEngine(), 2, 3)
-}
-
 func TestNewInterconnectSelectsModel(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, ok := NewInterconnect(eng, 2, 0, 8, "").(*Bus); !ok {
-		t.Error("banks=0 did not select the single bus")
-	}
-	if _, ok := NewInterconnect(eng, 2, 0, 8, "bus").(*Bus); !ok {
-		t.Error(`topology "bus" did not select the single bus`)
-	}
-	ic := NewInterconnect(eng, 2, 4, 8, "")
-	if _, ok := ic.(*BankedBus); !ok || ic.Banks() != 4 {
-		t.Errorf("banks=4 selected %T with %d banks", ic, ic.Banks())
-	}
-	if x, ok := NewInterconnect(eng, 2, 0, 8, "xbar").(*Xbar); !ok || x.Ports() != 8 {
-		t.Errorf(`topology "xbar" selected %T`, x)
-	}
-	if f, ok := NewInterconnect(eng, 2, 0, 8, "mesh").(*Fabric); !ok ||
-		f.Topology().Rows != 2 || f.Topology().Cols != 4 {
-		t.Errorf(`topology "mesh" at 8 processors selected %T %+v, want a 2x4 Fabric`, f, f.Topology())
-	}
-	if f, ok := NewInterconnect(eng, 2, 0, 8, "ring:4").(*Fabric); !ok || f.Topology().Nodes != 4 {
-		t.Errorf(`topology "ring:4" selected %T`, f)
+	for _, tc := range []struct {
+		banks    int
+		topology string
+		links    int  // links of the network, ports of the crossbar
+		pumped   bool // deliveries through the shared pump
+	}{
+		{0, "", 1, false},
+		{0, "bus", 1, false},
+		{1, "", 1, false},
+		{4, "", 4, true},
+		{0, "mesh", 8 + 2*2*3 + 2*4*1, false}, // 2x4 at 8 processors
+		{0, "ring:4", 3 * 4, false},
+		{0, "xbar", 8, false},
+	} {
+		switch ic := NewInterconnect(eng, 2, tc.banks, 8, tc.topology).(type) {
+		case *Xbar:
+			if tc.topology != "xbar" || ic.nodes != tc.links {
+				t.Errorf("banks=%d topology %q: a %d-port crossbar", tc.banks, tc.topology, ic.nodes)
+			}
+		case *network:
+			pumped := ic.links[0].pump != nil
+			if tc.topology == "xbar" || len(ic.links) != tc.links || pumped != tc.pumped {
+				t.Errorf("banks=%d topology %q: %d links (pumped %v), want %d (pumped %v)",
+					tc.banks, tc.topology, len(ic.links), pumped, tc.links, tc.pumped)
+			}
+		}
 	}
 	func() {
 		defer func() {
@@ -145,12 +139,26 @@ func TestNewInterconnectSelectsModel(t *testing.T) {
 	}()
 }
 
+// TestBankOf pins the bank interleave: on a bus of N banks the message of
+// key k rides bank k&(N-1), and one bank or none (the single bus) carries
+// every key.
 func TestBankOf(t *testing.T) {
-	for _, tc := range []struct{ key, banks, want int }{
-		{5, 1, 0}, {5, 0, 0}, {5, -3, 0}, {5, 4, 1}, {6, 4, 2}, {8, 4, 0}, {13, 8, 5},
+	for _, tc := range []struct {
+		key       uint64
+		banks     int
+		wantBank  int
+		wantBanks int
+	}{
+		{5, 1, 0, 1}, {5, 0, 0, 1}, {5, -3, 0, 1}, {5, 4, 1, 4}, {6, 4, 2, 4}, {8, 4, 0, 4}, {13, 8, 5, 8},
 	} {
-		if got := BankOf(uint64(tc.key), tc.banks); got != tc.want {
-			t.Errorf("BankOf(%d, %d) = %d, want %d", tc.key, tc.banks, got, tc.want)
+		eng := sim.NewEngine()
+		b := newBanked(eng, 2, tc.banks)
+		b.Send(0, 0, tc.key, func() {})
+		eng.Run()
+		bs := b.BankStats()
+		if len(bs) != tc.wantBanks || bs[tc.wantBank].Messages != 1 || b.Stats().Messages != 1 {
+			t.Errorf("key %d on banks=%d: per-bank stats %+v, want the message on bank %d of %d",
+				tc.key, tc.banks, bs, tc.wantBank, tc.wantBanks)
 		}
 	}
 }
@@ -159,63 +167,51 @@ func TestBankOf(t *testing.T) {
 // invariant: the &(banks-1) mask is only a modulus for powers of two, and
 // a non-power-of-two count would silently skip banks (banks=3 masks with
 // 2: bank 1 never carries traffic). Config validation rejects such
-// machines; BankOf panics so a caller bypassing validation cannot run a
-// silently lopsided interconnect.
+// machines; the constructor panics so a caller bypassing validation
+// cannot run a silently lopsided interconnect.
 func TestBankOfRejectsNonPowerOfTwo(t *testing.T) {
 	for _, banks := range []int{3, 5, 6, 7, 12, 100} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("BankOf with banks=%d did not panic", banks)
+					t.Errorf("banks=%d did not panic", banks)
 				}
 			}()
-			BankOf(1, banks)
+			newBanked(sim.NewEngine(), 2, banks)
 		}()
 	}
 }
 
-// TestBankedOneBankMatchesSingleBus is the bus-level differential: the
-// banked model with one bank must deliver a randomized send schedule at
-// exactly the cycles the single Bus does, message for message. The
-// system-level golden (root interconnect_test.go) pins the same property
-// through the whole machine; this one localizes a divergence to the bus.
-func TestBankedOneBankMatchesSingleBus(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		single := sim.NewEngine()
-		banked := sim.NewEngine()
-		var a Interconnect = New(single, 3)
-		var b Interconnect = NewBanked(banked, 3, 1)
-		var got, want []string
-		schedule := func(eng *sim.Engine, ic Interconnect, out *[]string) {
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				i := i
-				at := sim.Time(rng.Intn(300))
-				eng.Schedule(at, func() {
-					ic.Send(0, 0, 0, func() {
-						*out = append(*out, fmt.Sprintf("msg%d@%d", i, eng.Now()))
-					})
-				})
-			}
-		}
-		schedule(single, a, &want)
-		schedule(banked, b, &got)
-		single.Run()
-		banked.Run()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("seed %d: banked(1) diverged from single bus:\nsingle: %v\nbanked: %v", seed, want, got)
-		}
-		if a.Stats() != b.Stats() {
-			t.Fatalf("seed %d: stats diverged: single %+v banked %+v", seed, a.Stats(), b.Stats())
-		}
+// TestNewBankedRejectsNonPowerOfTwo pins where the bank-count check
+// lives: the constructor refuses banks=3 on the bus shape, whether the
+// topology is left empty or spelled "bus", and names the count.
+func TestNewBankedRejectsNonPowerOfTwo(t *testing.T) {
+	for _, topology := range []string{"", "bus"} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "banks 3") {
+					t.Errorf("banks=3 on topology %q: panic %v, want one naming banks 3", topology, r)
+				}
+			}()
+			NewInterconnect(sim.NewEngine(), 2, 3, 1, topology)
+		}()
 	}
+}
+
+// TestBankedOneBankMatchesSingleBus is the bus-level differential for a
+// one-bank bus: it must deliver a randomized send schedule at exactly the
+// cycles the single bus does, with its stats (see matchOneLink). The
+// banks=1 row of TestDoneSetEquivalence pins the same property through
+// the whole machine; this one localizes a divergence to the interconnect.
+func TestBankedOneBankMatchesSingleBus(t *testing.T) {
+	matchOneLink(t, oneLinkShape{"banks=1", 1, ""})
 }
 
 // FuzzBankedSlots drives the banked bus with an arbitrary send schedule
 // and checks the arbitration invariants: no bank ever grants two senders
 // overlapping occupancy slots (each bank's wires carry one message at a
 // time), per-bank delivery order is FIFO, and every message is delivered
-// exactly once. The fuzz input is a byte stream of (bank, delay) pairs.
+// exactly once. The fuzz input is a byte stream of (key, delay) pairs.
 func FuzzBankedSlots(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 3, 3, 3, 0, 1}, uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(1))
@@ -228,25 +224,16 @@ func FuzzBankedSlots(f *testing.F) {
 		eng := sim.NewEngine()
 		if banks&(banks-1) != 0 {
 			// The mask interleave is wrong off powers of two; the model
-			// must refuse to build rather than run lopsided, and BankOf
-			// must refuse to map.
+			// must refuse to build rather than run lopsided.
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewBanked(banks=%d) did not panic", banks)
+					t.Fatalf("banks=%d did not panic", banks)
 				}
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("BankOf(_, %d) did not panic", banks)
-						}
-					}()
-					BankOf(uint64(len(data)), banks)
-				}()
 			}()
-			NewBanked(eng, occupancy, banks)
+			newBanked(eng, occupancy, banks)
 			return
 		}
-		b := NewBanked(eng, occupancy, banks)
+		b := newBanked(eng, occupancy, banks)
 		type crossing struct {
 			bank int
 			seq  int
@@ -256,12 +243,13 @@ func FuzzBankedSlots(f *testing.F) {
 		sent := 0
 		at := sim.Time(0)
 		for i := 0; i+1 < len(data); i += 2 {
-			bank := int(data[i]) % banks
+			key := uint64(data[i])
+			bank := int(key) % banks
 			at += sim.Time(data[i+1])
 			seq := sent
 			sent++
 			eng.Schedule(at, func() {
-				b.Send(0, 0, bank, func() {
+				b.Send(0, 0, key, func() {
 					crossings = append(crossings, crossing{bank: bank, seq: seq, end: eng.Now()})
 				})
 			})
@@ -274,6 +262,7 @@ func FuzzBankedSlots(f *testing.F) {
 		// (no two senders share a slot) and per-bank arrival order holds.
 		lastEnd := map[int]sim.Time{}
 		lastSeq := map[int]int{}
+		perBank := make([]uint64, banks)
 		for _, c := range crossings {
 			if prev, ok := lastEnd[c.bank]; ok {
 				if c.end < prev+occupancy {
@@ -286,9 +275,15 @@ func FuzzBankedSlots(f *testing.F) {
 			}
 			lastEnd[c.bank] = c.end
 			lastSeq[c.bank] = c.seq
+			perBank[c.bank]++
 		}
 		if st := b.Stats(); st.Messages != uint64(sent) || st.BusyCycles != uint64(sent)*uint64(occupancy) {
 			t.Fatalf("stats %+v inconsistent with %d messages", st, sent)
+		}
+		for i, s := range b.BankStats() {
+			if s.Messages != perBank[i] {
+				t.Fatalf("bank %d counted %d messages, %d crossed it", i, s.Messages, perBank[i])
+			}
 		}
 	})
 }

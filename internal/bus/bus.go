@@ -1,33 +1,39 @@
-// Package bus models the interconnect of the simulated machine. Five
-// implementations of one Interconnect interface exist:
+// Package bus models the interconnect of the simulated machine: the
+// common split-transaction bus of the paper's Table II and the wider
+// shapes the 64/128-processor scale axis adds. NewInterconnect is the one
+// constructor. Two implementations of the Interconnect interface sit
+// behind it:
 //
-//   - Bus, the common split-transaction bus of the paper's Table II: a
-//     single shared resource with batched FIFO arbitration. A
-//     split-transaction bus separates the request from the reply, so the
-//     bus is held only for the cycles a message occupies the wires, not
-//     for the whole memory round-trip.
-//   - BankedBus (banked.go), an address-interleaved N-banked bus that
-//     opens the 64/128-processor scale axis: each bank is an independent
-//     split bus arbitrating its own FIFO, and same-cycle deliveries across
-//     banks are serviced in a deterministic round-robin.
+//   - The link network (net.go), built from one primitive, the link: a
+//     set of split-transaction wires with an arbitration FIFO, a slot
+//     ledger and a batched grant round. A split-transaction bus separates
+//     the request from the reply, so a link is held only for the cycles a
+//     message occupies the wires, not for the whole memory round-trip. A
+//     route picks the links a message crosses. The paper's bus is one
+//     link. The address-interleaved banked bus is N links, and the
+//     message's interleave key, masked to its low lg(N) bits, picks one.
+//     The 2D mesh (XY dimension-order routing) and the bidirectional ring
+//     (shorter arc) have a local port per tile plus a link per
+//     directional channel, and a message crosses every link of its route
+//     hop by hop, ending on the destination tile's local port.
 //   - Xbar (xbar.go), a full crossbar: one reservation ledger per
 //     src→dst port pair, so the only contention is two messages between
-//     the same pair of nodes.
-//   - Mesh and Ring (fabric.go), point-to-point fabrics built from Bus
-//     links: a 2D mesh with XY dimension-order routing, and a
-//     bidirectional ring routing the shorter arc. Messages occupy every
-//     link on their route for the occupancy, hop by hop.
+//     the same pair of nodes. It has no grant round: each send reserves
+//     its slot directly.
 //
-// In both models senders do not schedule per-request events: they enqueue
-// on an arbitration queue, and one grant-round event — scheduled for the
-// cycle the (bank's) wires next free up — drains every queued requester in
-// arrival order, assigning each the next `occupancy`-cycle slot. Granted
-// messages then deliver through a single chained delivery event walking
-// the slot ends. The slot arithmetic is identical to a per-request
-// reservation model (each message occupies the earliest free slot at or
-// after its issue time), so latency grows under contention exactly the way
-// a real shared bus serializes traffic — but arbitration costs one event
-// per round, not per message, and the queues recycle their storage.
+// On a link, senders do not schedule per-request events: they enqueue on
+// the arbitration FIFO, and one grant-round event, scheduled for the
+// cycle the wires next free up, drains every queued requester in arrival
+// order, assigning each the next `occupancy`-cycle slot. The slot
+// arithmetic is identical to a per-request reservation model (each
+// message occupies the earliest free slot at or after its issue time), so
+// latency grows under contention exactly the way a real shared bus
+// serializes traffic, but arbitration costs one event per round, not per
+// message. Granted messages deliver in one of two ways. A lone link — the
+// bus, a one-bank bus, every link of a mesh or ring — delivers through a
+// single chained event walking its slot ends. The banks of a bus of two
+// or more share one delivery pump that serves same-cycle deliveries
+// across banks in a rotating round-robin.
 package bus
 
 import (
@@ -45,31 +51,25 @@ import (
 // commit-ordering invariant the processors rely on).
 const VendorNode = -1
 
-// Interconnect is the system's view of the interconnect. Send transmits a
-// message from node src to node dst on the given bank; deliver runs when
-// the message has crossed the wires. Bus-class implementations route by
-// bank and ignore src/dst; point-to-point fabrics route by src/dst and
-// ignore bank. All methods must be called from engine event context (the
-// simulator is single-goroutine by design).
+// Interconnect is the system's view of the interconnect. All methods must
+// be called from engine event context (the simulator is single-goroutine
+// by design).
 type Interconnect interface {
-	// Send enqueues a message from src to dst; deliver runs when the
-	// message has crossed. Bus-class implementations use only bank (their
-	// arbitration queue index; banked implementations panic on a bank
-	// outside [0, Banks())); fabrics use only src and dst (node ids,
-	// taken modulo their tile count, or VendorNode).
-	Send(src, dst, bank int, deliver func())
-	// Banks returns the number of independent banks (1 for the single bus).
-	Banks() int
-	// Stats returns the activity counters, aggregated over banks.
+	// Send enqueues a message from node src to node dst; deliver runs
+	// when the message has crossed. The bus shapes route by key — the
+	// bank is the key's low lg(banks) bits — and ignore src and dst.
+	// The point-to-point shapes route by src and dst (node ids, folded
+	// modulo their tile count, or VendorNode) and ignore key. Callers
+	// pass the line address as the key of line traffic, the originating
+	// component's id for control traffic with no address, and 0 for
+	// token traffic.
+	Send(src, dst int, key uint64, deliver func())
+	// Stats returns the activity counters, aggregated over resources.
 	Stats() Stats
 	// BankStats returns a copy of each independent resource's private
-	// counters — banks for the bus models, links for the fabrics, output
-	// ports for the crossbar. For the single bus this is one entry equal
-	// to Stats().
+	// counters: banks for the bus shapes, links for the mesh and ring,
+	// source ports for the crossbar. The single bus has one entry.
 	BankStats() []Stats
-	// Queued returns the number of messages awaiting arbitration or
-	// delivery across all banks.
-	Queued() int
 	// Reset returns the interconnect to its initial state — empty
 	// queues, free wires, zeroed counters — keeping allocated storage.
 	// The owning engine must be reset first (or alongside): pending
@@ -77,26 +77,7 @@ type Interconnect interface {
 	Reset()
 }
 
-// BankOf maps an interleave key onto a bank. Lines interleave by line
-// address; control messages with no address (token round trips, gating
-// commands) interleave by the sending component's id. banks must be a
-// power of two — the bank is the key's low lg(banks) bits — and with one
-// bank every key maps to bank 0. A non-power-of-two count panics: the
-// mask would silently skip banks (banks=3 masks with 2, so every key
-// lands on bank 0 or 2 and bank 1 never carries traffic). Config
-// validation is the single enforcement point; this panic is the backstop
-// for callers that bypass it.
-func BankOf(key uint64, banks int) int {
-	if banks <= 1 {
-		return 0
-	}
-	if banks&(banks-1) != 0 {
-		panic(fmt.Sprintf("bus: BankOf banks %d must be a power of two", banks))
-	}
-	return int(key & uint64(banks-1))
-}
-
-// Stats counts bus activity.
+// Stats counts interconnect activity.
 type Stats struct {
 	Messages   uint64
 	BusyCycles uint64
@@ -106,6 +87,59 @@ type Stats struct {
 	// Rounds counts batched grant rounds: one arbitration event may
 	// grant many queued messages. Messages/Rounds is the batching factor.
 	Rounds uint64
+}
+
+// total rolls per-resource counters up into one aggregate.
+func total(per []Stats) Stats {
+	var s Stats
+	for _, p := range per {
+		s.Messages += p.Messages
+		s.BusyCycles += p.BusyCycles
+		s.WaitCycles += p.WaitCycles
+		s.Rounds += p.Rounds
+	}
+	return s
+}
+
+// NewInterconnect builds the interconnect of a machine of nodes
+// processors. occupancy is the cycles one message holds a link (or a
+// crossbar pair) and must be positive. An empty or "bus" topology selects
+// by banks: banks <= 1 is the paper's single split-transaction bus, and a
+// larger power of two is the banked bus with that many banks. The
+// point-to-point topologies — "xbar", "mesh", "ring", with optional
+// explicit sizes (see ParseTopology) — ignore banks; validation rejects
+// the combination upstream. An unparseable topology or a banks count
+// that is not a power of two panics: the mask interleave would silently
+// skip banks (banks=3 masks with 2, so bank 1 never carries traffic).
+// Config validation is the enforcement point and these panics are the
+// backstop.
+func NewInterconnect(eng *sim.Engine, occupancy sim.Time, banks, nodes int, topology string) Interconnect {
+	if occupancy <= 0 {
+		panic(fmt.Sprintf("bus: occupancy %d must be positive", occupancy))
+	}
+	topo, err := ParseTopology(topology, nodes)
+	if err != nil {
+		panic(err.Error())
+	}
+	if topo.Kind == TopoXbar {
+		return newXbar(eng, occupancy, topo.Nodes)
+	}
+	if topo.Kind == TopoBus && banks > 0 && banks&(banks-1) != 0 {
+		panic(fmt.Sprintf("bus: banks %d must be a power of two", banks))
+	}
+	return newNetwork(eng, occupancy, topo, banks)
+}
+
+// fold maps a message's endpoints onto an n-tile shape: node ids fold
+// modulo n, and traffic to or from the token vendor maps to (0, 0).
+func fold(src, dst, n int) (s, d int) {
+	if src == VendorNode || dst == VendorNode {
+		return 0, 0
+	}
+	if src < 0 || dst < 0 {
+		panic(fmt.Sprintf("bus: nodes %d->%d (only VendorNode may be negative)", src, dst))
+	}
+	return src % n, dst % n
 }
 
 // request is one queued send awaiting a grant round.
@@ -120,123 +154,85 @@ type delivery struct {
 	deliver func()
 }
 
-// Bus is a split-transaction bus. All methods must be called from engine
-// event context (the simulator is single-goroutine by design).
-type Bus struct {
+// link is one set of split-transaction wires: an arbitration FIFO, a slot
+// ledger, a grant round and its entry in the owner's per-link counters.
+type link struct {
 	eng       *sim.Engine
-	occupancy sim.Time // cycles one message holds the bus
-	nextFree  sim.Time // first cycle the bus is free
-	stats     Stats
+	occupancy sim.Time // cycles one message holds the wires
+	nextFree  sim.Time // first cycle the wires are free
+	stats     *Stats
 
 	reqs         fifo.Queue[request]  // awaiting arbitration
 	dels         fifo.Queue[delivery] // granted, awaiting delivery
 	roundPending bool
-	delPending   bool
+	delPending   bool   // the delivery chain's event is armed
 	roundFn      func() // pre-bound grant round (no per-schedule closure)
 	deliverFn    func() // pre-bound delivery chain step
+	// pump is the network whose shared delivery pump serves this link (a
+	// bank of a bus of two or more); nil for a lone link, which delivers
+	// through its own chain.
+	pump *network
 }
 
-// New builds a bus on the engine. occupancy is the per-message bus-hold
-// time in cycles and must be positive.
-func New(eng *sim.Engine, occupancy sim.Time) *Bus {
-	if occupancy <= 0 {
-		panic(fmt.Sprintf("bus: occupancy %d must be positive", occupancy))
-	}
-	b := &Bus{eng: eng, occupancy: occupancy}
-	b.roundFn = b.grantRound
-	b.deliverFn = b.deliverHead
-	return b
-}
-
-// Reset implements Interconnect: empty queues, free wires, zero stats.
-// The ring buffers behind the request and delivery queues are retained,
-// so a reset bus arbitrates without re-growing them.
-func (b *Bus) Reset() {
-	b.nextFree = 0
-	b.stats = Stats{}
-	b.reqs.Clear()
-	b.dels.Clear()
-	b.roundPending = false
-	b.delPending = false
-}
-
-// Banks implements Interconnect: the single bus is one bank.
-func (b *Bus) Banks() int { return 1 }
-
-// Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats { return b.stats }
-
-// BankStats implements Interconnect: the single bus is one bank, so the
-// per-bank breakdown is the aggregate.
-func (b *Bus) BankStats() []Stats { return []Stats{b.stats} }
-
-// Queued returns the number of messages awaiting arbitration or delivery.
-func (b *Bus) Queued() int { return b.reqs.Len() + b.dels.Len() }
-
-// Send transmits a message: deliver runs when the message has crossed the
-// bus. The message joins the arbitration queue and is granted a slot by
-// the next grant round, in FIFO order. src, dst and bank are ignored:
-// every message shares the one set of wires.
-func (b *Bus) Send(_, _, _ int, deliver func()) {
-	b.send(deliver)
-}
-
-// send is the link-level entry point the fabrics use directly: enqueue
-// and arm a grant round at the cycle the wires next free up.
-func (b *Bus) send(deliver func()) {
-	if deliver == nil {
-		panic("bus: nil deliver callback")
-	}
-	b.stats.Messages++
-	b.reqs.Push(request{deliver: deliver, issued: b.eng.Now()})
-	if !b.roundPending {
-		b.roundPending = true
-		at := b.eng.Now()
-		if b.nextFree > at {
-			at = b.nextFree
-		}
-		b.eng.Schedule(at, b.roundFn)
+// send enqueues a message and arms a grant round at the cycle the wires
+// next free up.
+func (l *link) send(deliver func()) {
+	l.stats.Messages++
+	l.reqs.Push(request{deliver: deliver, issued: l.eng.Now()})
+	if !l.roundPending {
+		l.roundPending = true
+		l.eng.Schedule(max(l.eng.Now(), l.nextFree), l.roundFn)
 	}
 }
 
-// grantRound is the batched arbitration: it fires when the bus frees up
+// grantRound is the batched arbitration: it fires when the wires free up
 // and drains the whole request queue in arrival order, assigning each
 // message the next occupancy-cycle slot.
-func (b *Bus) grantRound() {
-	b.roundPending = false
-	b.stats.Rounds++
-	start := b.eng.Now()
-	if b.nextFree > start {
-		start = b.nextFree
+func (l *link) grantRound() {
+	l.roundPending = false
+	l.stats.Rounds++
+	start := max(l.eng.Now(), l.nextFree)
+	for l.reqs.Len() > 0 {
+		r := l.reqs.Pop()
+		l.stats.WaitCycles += uint64(start - r.issued)
+		l.stats.BusyCycles += uint64(l.occupancy)
+		start += l.occupancy
+		l.dels.Push(delivery{at: start, deliver: r.deliver})
 	}
-	for b.reqs.Len() > 0 {
-		r := b.reqs.Pop()
-		b.stats.WaitCycles += uint64(start - r.issued)
-		b.stats.BusyCycles += uint64(b.occupancy)
-		end := start + b.occupancy
-		b.dels.Push(delivery{at: end, deliver: r.deliver})
-		start = end
+	l.nextFree = start
+	if l.pump != nil {
+		l.pump.armPump()
+	} else {
+		l.armChain()
 	}
-	b.nextFree = start
-	b.scheduleDelivery()
 }
 
-// scheduleDelivery arms the delivery chain for the head message, if idle.
-// Slot ends are strictly increasing, so one in-flight event suffices.
-func (b *Bus) scheduleDelivery() {
-	if b.delPending || b.dels.Len() == 0 {
+// armChain arms the delivery chain for the head message, if idle. Slot
+// ends are strictly increasing, so one in-flight event suffices.
+func (l *link) armChain() {
+	if l.delPending || l.dels.Len() == 0 {
 		return
 	}
-	b.delPending = true
-	b.eng.Schedule(b.dels.Front().at, b.deliverFn)
+	l.delPending = true
+	l.eng.Schedule(l.dels.Front().at, l.deliverFn)
 }
 
-// deliverHead completes the head message's bus crossing and re-arms the
-// chain for the next one. The chain is re-armed before the callback runs,
-// so a callback that sends new traffic observes a consistent queue.
-func (b *Bus) deliverHead() {
-	b.delPending = false
-	d := b.dels.Pop()
-	b.scheduleDelivery()
+// deliverHead completes the head message's crossing and re-arms the chain
+// for the next one. The chain is re-armed before the callback runs, so a
+// callback that sends new traffic observes a consistent queue.
+func (l *link) deliverHead() {
+	l.delPending = false
+	d := l.dels.Pop()
+	l.armChain()
 	d.deliver()
+}
+
+// reset empties the queues and frees the wires, keeping the ring storage
+// behind the queues.
+func (l *link) reset() {
+	l.nextFree = 0
+	l.reqs.Clear()
+	l.dels.Clear()
+	l.roundPending = false
+	l.delPending = false
 }

@@ -2,14 +2,32 @@ package bus
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
 )
 
+// newBus builds the paper's single split-transaction bus.
+func newBus(eng *sim.Engine, occupancy sim.Time) Interconnect {
+	return NewInterconnect(eng, occupancy, 0, 1, "")
+}
+
+// queued counts the messages a link network holds awaiting arbitration or
+// delivery, over all links. A multi-hop message in flight is queued on
+// exactly one link.
+func queued(ic Interconnect) int {
+	k := 0
+	for i := range ic.(*network).links {
+		l := &ic.(*network).links[i]
+		k += l.reqs.Len() + l.dels.Len()
+	}
+	return k
+}
+
 func TestSingleMessageLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	var delivered sim.Time = -1
 	b.Send(0, 0, 0, func() { delivered = eng.Now() })
 	eng.Run()
@@ -20,7 +38,7 @@ func TestSingleMessageLatency(t *testing.T) {
 
 func TestBackToBackMessagesSerialize(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		b.Send(0, 0, 0, func() { times = append(times, eng.Now()) })
@@ -36,7 +54,7 @@ func TestBackToBackMessagesSerialize(t *testing.T) {
 
 func TestBusFreesUpOverTime(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	var second sim.Time
 	b.Send(0, 0, 0, func() {})
 	// Issue the second message long after the first finished: no queueing.
@@ -54,7 +72,7 @@ func TestBusFreesUpOverTime(t *testing.T) {
 
 func TestWaitCyclesAccumulateUnderContention(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 10)
+	b := newBus(eng, 10)
 	for i := 0; i < 4; i++ {
 		b.Send(0, 0, 0, func() {})
 	}
@@ -74,7 +92,7 @@ func TestWaitCyclesAccumulateUnderContention(t *testing.T) {
 
 func TestGrantRoundsBatchQueuedSenders(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 5)
+	b := newBus(eng, 5)
 	delivered := 0
 	// Eight messages issued in one cycle: one grant round must drain all
 	// of them (batched arbitration), with consecutive slots.
@@ -96,21 +114,26 @@ func TestGrantRoundsBatchQueuedSenders(t *testing.T) {
 
 func TestQueuedCountsBothStages(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 4)
+	b := newBus(eng, 4)
 	b.Send(0, 0, 0, func() {})
 	b.Send(0, 0, 0, func() {})
-	if got := b.Queued(); got != 2 {
+	if got := queued(b); got != 2 {
 		t.Fatalf("queued %d before arbitration, want 2", got)
 	}
+	eng.Step() // the grant round moves both onto the delivery queue
+	if l := &b.(*network).links[0]; l.reqs.Len() != 0 || l.dels.Len() != 2 {
+		t.Fatalf("after the grant round: %d awaiting arbitration, %d delivery, want 0 and 2",
+			l.reqs.Len(), l.dels.Len())
+	}
 	eng.Run()
-	if got := b.Queued(); got != 0 {
+	if got := queued(b); got != 0 {
 		t.Fatalf("queued %d after drain, want 0", got)
 	}
 }
 
 func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 2)
+	b := newBus(eng, 2)
 	deliver := func() {}
 	work := func() {
 		for i := 0; i < 32; i++ {
@@ -127,17 +150,21 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 }
 
 func TestZeroOccupancyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New with occupancy 0 did not panic")
-		}
-	}()
-	New(sim.NewEngine(), 0)
+	for _, spec := range []string{"bus", "xbar", "ring"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with occupancy 0 did not panic", spec)
+				}
+			}()
+			NewInterconnect(sim.NewEngine(), 0, 0, 4, spec)
+		}()
+	}
 }
 
 func TestInterleavedSendsKeepFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	b := New(eng, 3)
+	b := newBus(eng, 3)
 	var order []int
 	// Sender A at t=0, sender B at t=1: A's message must deliver first.
 	b.Send(0, 0, 0, func() { order = append(order, 0) })
@@ -150,6 +177,75 @@ func TestInterleavedSendsKeepFIFO(t *testing.T) {
 	}
 }
 
+// oneLinkShape is a row of the one-link differential: a shape built from
+// one link, by bank count and topology spec.
+type oneLinkShape struct {
+	name     string
+	banks    int
+	topology string
+}
+
+// matchOneLink is the differential for the shapes built from one link.
+// It runs randomized send schedules (local and vendor traffic, any
+// interleave key) on each shape, on the single bus and on a 1-port
+// crossbar. Each shape must deliver message for message at the cycles the
+// bus does, with the bus's Stats, over one link. The bus in turn must
+// match the crossbar on deliveries, Messages, BusyCycles and WaitCycles.
+// The crossbar reserves each message's slot at send time and shares no
+// code with the link's grant round, so it is an independent reference.
+// Rounds differ by design (the crossbar counts one per message), so they
+// are compared only against the bus.
+func matchOneLink(t *testing.T, shapes ...oneLinkShape) {
+	t.Helper()
+	run := func(seed int64, banks int, topology string) (string, Stats, int) {
+		eng := sim.NewEngine()
+		ic := NewInterconnect(eng, 3, banks, 1, topology)
+		rng := rand.New(rand.NewSource(seed))
+		var out []string
+		for i := 0; i < 200; i++ {
+			i := i
+			at := sim.Time(rng.Intn(300))
+			src, dst := 0, 0
+			switch rng.Intn(3) {
+			case 1:
+				src = VendorNode
+			case 2:
+				dst = VendorNode
+			}
+			key := rng.Uint64()
+			eng.Schedule(at, func() {
+				ic.Send(src, dst, key, func() {
+					out = append(out, fmt.Sprintf("msg%d@%d", i, eng.Now()))
+				})
+			})
+		}
+		eng.Run()
+		return fmt.Sprint(out), ic.Stats(), len(ic.BankStats())
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		ref, xbar, _ := run(seed, 0, "xbar:1")
+		want, bus, _ := run(seed, 0, "")
+		if want != ref {
+			t.Fatalf("seed %d: the bus diverged from the crossbar:\nxbar: %s\nbus:  %s", seed, ref, want)
+		}
+		if bus.Messages != xbar.Messages || bus.BusyCycles != xbar.BusyCycles || bus.WaitCycles != xbar.WaitCycles {
+			t.Fatalf("seed %d: bus stats %+v, crossbar %+v", seed, bus, xbar)
+		}
+		for _, sh := range shapes {
+			got, st, links := run(seed, sh.banks, sh.topology)
+			if got != want {
+				t.Fatalf("%s seed %d: deliveries diverged from the single bus:\nbus: %s\n%s: %s", sh.name, seed, want, sh.name, got)
+			}
+			if links != 1 {
+				t.Fatalf("%s: %d links, want 1", sh.name, links)
+			}
+			if st != bus {
+				t.Fatalf("%s seed %d: stats %+v, the single bus %+v", sh.name, seed, st, bus)
+			}
+		}
+	}
+}
+
 // BenchmarkBusBatched measures arbitration throughput under heavy fan-in:
 // many senders pile onto the queue each round, the shape a wide machine's
 // commit invalidation storms produce. messages/round reports the batching
@@ -159,7 +255,7 @@ func BenchmarkBusBatched(b *testing.B) {
 		b.Run(fmt.Sprintf("senders%d", senders), func(b *testing.B) {
 			b.ReportAllocs()
 			eng := sim.NewEngine()
-			bus := New(eng, 2)
+			bus := newBus(eng, 2)
 			var deliver func()
 			left := 0
 			deliver = func() {

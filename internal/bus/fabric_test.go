@@ -2,7 +2,6 @@ package bus
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -26,12 +25,24 @@ func TestParseTopology(t *testing.T) {
 		{"mesh", 128, "mesh:8x16"},
 		{"mesh:1x1", 8, "mesh:1x1"},
 		{"mesh:2x3", 8, "mesh:2x3"},
+		{"mesh:8x16", 1, "mesh:8x16"},
+		{"ring:128", 1, "ring:128"},
+		{"xbar:128", 1, "xbar:128"},
 		{"bus:4", 8, ""},
 		{"mesh:0x4", 8, ""},
 		{"mesh:4", 8, ""},
 		{"ring:0", 8, ""},
 		{"ring:x", 8, ""},
 		{"torus", 8, ""},
+		// Tile counts are capped at MaxNodes whatever the processor count:
+		// rows*cols would wrap to 0 tiles here, and the ring would build
+		// 3e8 links.
+		{"mesh:4294967296x4294967296", 8, ""},
+		{"ring:100000000", 8, ""},
+		{"xbar:129", 128, ""},
+		{"mesh:16x9", 128, ""},
+		{"mesh:1x129", 8, ""},
+		{"ring", 129, ""},
 	} {
 		topo, err := ParseTopology(tc.spec, tc.procs)
 		if tc.want == "" {
@@ -86,7 +97,7 @@ func TestMeshRouteXY(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFabric(sim.NewEngine(), 2, topo)
+	f := NewInterconnect(sim.NewEngine(), 2, 0, topo.Nodes, topo.String()).(*network)
 	for s := 0; s < topo.Nodes; s++ {
 		for d := 0; d < topo.Nodes; d++ {
 			if s == d {
@@ -100,7 +111,7 @@ func TestMeshRouteXY(t *testing.T) {
 			at := s
 			sawRowHop := false
 			for _, link := range path {
-				from, to := f.linkEnds(link)
+				from, to := linkEnds(f, link)
 				if from == to {
 					t.Fatalf("route %d->%d crosses local port %d mid-route", s, d, from)
 				}
@@ -128,7 +139,7 @@ func TestRingRouteShorterArc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFabric(sim.NewEngine(), 2, topo)
+	f := NewInterconnect(sim.NewEngine(), 2, 0, 6, topo.String()).(*network)
 	for s := 0; s < 6; s++ {
 		for d := 0; d < 6; d++ {
 			if s == d {
@@ -146,7 +157,7 @@ func TestRingRouteShorterArc(t *testing.T) {
 			}
 			at := s
 			for _, link := range path {
-				from, to := f.linkEnds(link)
+				from, to := linkEnds(f, link)
 				if from != at {
 					t.Fatalf("route %d->%d: link starts at %d, cursor at %d", s, d, from, at)
 				}
@@ -156,7 +167,7 @@ func TestRingRouteShorterArc(t *testing.T) {
 				t.Fatalf("route %d->%d ends at %d", s, d, at)
 			}
 			if cw <= ccw { // tie or shorter: must be the clockwise arc
-				if from, to := f.linkEnds(path[0]); (from+1)%6 != to {
+				if from, to := linkEnds(f, path[0]); (from+1)%6 != to {
 					t.Fatalf("route %d->%d (cw %d, ccw %d) did not go clockwise", s, d, cw, ccw)
 				}
 			}
@@ -168,12 +179,8 @@ func TestRingRouteShorterArc(t *testing.T) {
 // idle 1x4 mesh, a 3-column crossing plus the ejection port costs 4 hops
 // of occupancy, and each link charges one crossing.
 func TestFabricHopTiming(t *testing.T) {
-	topo, err := ParseTopology("mesh:1x4", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := sim.NewEngine()
-	f := NewFabric(eng, 5, topo)
+	f := NewInterconnect(eng, 5, 0, 4, "mesh:1x4")
 	var delivered sim.Time = -1
 	f.Send(0, 3, 0, func() { delivered = eng.Now() })
 	eng.Run()
@@ -186,17 +193,22 @@ func TestFabricHopTiming(t *testing.T) {
 	}
 }
 
+// TestSingleTileFabricMatchesSingleBus is the bus-level form of the
+// degenerate-topology rows of TestDoneSetEquivalence: a 1x1 mesh and a
+// 1-node ring have exactly one link, and a randomized schedule of sends
+// (local and vendor) must deliver at exactly the cycles the single bus
+// delivers them, with its stats (see matchOneLink).
+func TestSingleTileFabricMatchesSingleBus(t *testing.T) {
+	matchOneLink(t, oneLinkShape{"mesh:1x1", 0, "mesh:1x1"}, oneLinkShape{"ring:1", 0, "ring:1"})
+}
+
 // TestFabricSameRouteFIFO pins the ordering contract the directory relies
 // on: two messages between the same endpoints follow the same route and
 // must deliver in send order, with per-hop queueing accruing wait cycles.
 func TestFabricSameRouteFIFO(t *testing.T) {
 	for _, spec := range []string{"mesh:2x4", "ring:8"} {
-		topo, err := ParseTopology(spec, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
 		eng := sim.NewEngine()
-		f := NewFabric(eng, 3, topo)
+		f := NewInterconnect(eng, 3, 0, 8, spec)
 		var order []int
 		for i := 0; i < 5; i++ {
 			i := i
@@ -217,12 +229,8 @@ func TestFabricSameRouteFIFO(t *testing.T) {
 // one FIFO — so replies issued in acquisition order deliver in that
 // order on every geometry.
 func TestFabricVendorSideband(t *testing.T) {
-	topo, err := ParseTopology("mesh:2x4", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := sim.NewEngine()
-	f := NewFabric(eng, 2, topo)
+	f := NewInterconnect(eng, 2, 0, 8, "mesh:2x4")
 	var order []int
 	f.Send(7, VendorNode, 0, func() { order = append(order, 7) })
 	f.Send(VendorNode, 3, 0, func() { order = append(order, 3) })
@@ -242,65 +250,12 @@ func TestFabricVendorSideband(t *testing.T) {
 	}
 }
 
-// TestSingleTileFabricMatchesSingleBus is the bus-level form of the
-// degenerate-topology golden: a 1x1 mesh and a 1-node ring have exactly
-// one link, and a randomized schedule of sends (local and vendor) must
-// deliver at exactly the cycles the single Bus delivers them, message for
-// message, with identical stats.
-func TestSingleTileFabricMatchesSingleBus(t *testing.T) {
-	for _, spec := range []string{"mesh:1x1", "ring:1"} {
-		topo, err := ParseTopology(spec, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(1); seed <= 5; seed++ {
-			single := sim.NewEngine()
-			fabric := sim.NewEngine()
-			var a Interconnect = New(single, 3)
-			var b Interconnect = NewFabric(fabric, 3, topo)
-			var got, want []string
-			schedule := func(eng *sim.Engine, ic Interconnect, out *[]string) {
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 200; i++ {
-					i := i
-					at := sim.Time(rng.Intn(300))
-					src, dst := 0, 0
-					switch rng.Intn(3) {
-					case 1:
-						src = VendorNode
-					case 2:
-						dst = VendorNode
-					}
-					eng.Schedule(at, func() {
-						ic.Send(src, dst, 0, func() {
-							*out = append(*out, fmt.Sprintf("msg%d@%d", i, eng.Now()))
-						})
-					})
-				}
-			}
-			schedule(single, a, &want)
-			schedule(fabric, b, &got)
-			single.Run()
-			fabric.Run()
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s seed %d: diverged from single bus:\nsingle: %v\nfabric: %v", spec, seed, want, got)
-			}
-			if a.Stats() != b.Stats() {
-				t.Fatalf("%s seed %d: stats diverged: single %+v fabric %+v", spec, seed, a.Stats(), b.Stats())
-			}
-			if len(b.BankStats()) != 1 {
-				t.Fatalf("%s: %d links, want 1", spec, len(b.BankStats()))
-			}
-		}
-	}
-}
-
 // TestXbarPairContention pins the crossbar's contention model: messages
 // on the same src->dst pair serialize in FIFO slots; messages on any
 // other pair — even sharing a port — cross in parallel.
 func TestXbarPairContention(t *testing.T) {
 	eng := sim.NewEngine()
-	x := NewXbar(eng, 4, 4)
+	x := NewInterconnect(eng, 4, 0, 4, "xbar")
 	times := map[string]sim.Time{}
 	x.Send(0, 1, 0, func() { times["a"] = eng.Now() })
 	x.Send(0, 1, 0, func() { times["b"] = eng.Now() }) // same pair: queues
@@ -327,7 +282,7 @@ func TestXbarPairContention(t *testing.T) {
 // vendor traffic reserves the (0,0) pair, one FIFO, any source port.
 func TestXbarVendorSerializes(t *testing.T) {
 	eng := sim.NewEngine()
-	x := NewXbar(eng, 4, 4)
+	x := NewInterconnect(eng, 4, 0, 4, "xbar")
 	var order []int
 	x.Send(3, VendorNode, 0, func() { order = append(order, 3) })
 	x.Send(VendorNode, 2, 0, func() { order = append(order, 2) })
@@ -341,40 +296,51 @@ func TestXbarVendorSerializes(t *testing.T) {
 	}
 }
 
-// TestFabricXbarReset pins the Reset contract for the new models: after a
-// run and a Reset (with the engine reset alongside), queues are empty,
-// counters zeroed, and a rerun of the same schedule delivers at the same
-// cycles.
+// TestFabricXbarReset pins the Reset contract on a pumped banked bus, a
+// mesh and the crossbar: a Reset (with the engine reset alongside) in the
+// middle of a run empties every queue, frees every ledger and zeroes the
+// counters, and a rerun of the schedule delivers at the cycles, with the
+// counters, of a run on the freshly built interconnect.
 func TestFabricXbarReset(t *testing.T) {
-	topo, err := ParseTopology("mesh:2x2", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, build := range map[string]func(*sim.Engine) Interconnect{
-		"mesh": func(e *sim.Engine) Interconnect { return NewFabric(e, 3, topo) },
-		"xbar": func(e *sim.Engine) Interconnect { return NewXbar(e, 3, 4) },
+	for _, sh := range []struct {
+		name     string
+		banks    int
+		topology string
+	}{
+		{"banks=4", 4, ""},
+		{"mesh", 0, "mesh:2x2"},
+		{"xbar", 0, "xbar"},
 	} {
 		eng := sim.NewEngine()
-		ic := build(eng)
-		run := func() (last sim.Time, st Stats) {
+		ic := NewInterconnect(eng, 3, sh.banks, 4, sh.topology)
+		run := func(until sim.Time) (last sim.Time, st Stats) {
 			for i := 0; i < 8; i++ {
-				ic.Send(i%4, (i+1)%4, 0, func() { last = eng.Now() })
+				ic.Send(i%4, (i+1)%4, uint64(i), func() { last = eng.Now() })
 			}
-			eng.Run()
+			eng.RunUntil(until)
 			return last, ic.Stats()
 		}
-		last1, st1 := run()
+		last1, st1 := run(sim.MaxTime)
 		eng.Reset()
 		ic.Reset()
-		if ic.Queued() != 0 {
-			t.Fatalf("%s: queued %d after reset", name, ic.Queued())
+		run(4) // abandoned mid-flight
+		eng.Reset()
+		ic.Reset()
+		if x, ok := ic.(*Xbar); ok {
+			for pair, at := range x.nextFree {
+				if at != 0 {
+					t.Fatalf("xbar: pair %d reserved until %d after reset", pair, at)
+				}
+			}
+		} else if k := queued(ic); k != 0 || ic.(*network).pumpPending {
+			t.Fatalf("%s: queued %d (pump armed %v) after reset", sh.name, k, ic.(*network).pumpPending)
 		}
 		if st := ic.Stats(); st != (Stats{}) {
-			t.Fatalf("%s: stats %+v after reset, want zero", name, st)
+			t.Fatalf("%s: stats %+v after reset, want zero", sh.name, st)
 		}
-		last2, st2 := run()
+		last2, st2 := run(sim.MaxTime)
 		if last1 != last2 || st1 != st2 {
-			t.Fatalf("%s: rerun after reset diverged: %d/%+v vs %d/%+v", name, last1, st1, last2, st2)
+			t.Fatalf("%s: rerun after reset diverged: %d/%+v vs %d/%+v", sh.name, last1, st1, last2, st2)
 		}
 	}
 }
@@ -393,7 +359,7 @@ func FuzzMeshRoute(f *testing.F) {
 		n := rows * cols
 		src := int(srcRaw) % n
 		dst := int(dstRaw) % n
-		fb := NewFabric(sim.NewEngine(), 1, Topology{Kind: TopoMesh, Nodes: n, Rows: rows, Cols: cols})
+		fb := newNetwork(sim.NewEngine(), 1, Topology{Kind: TopoMesh, Nodes: n, Rows: rows, Cols: cols}, 0)
 		if src == dst {
 			return
 		}
@@ -409,7 +375,7 @@ func FuzzMeshRoute(f *testing.F) {
 				t.Fatalf("mesh %dx%d route %d->%d uses link %d outside the directional range [%d,%d)",
 					rows, cols, src, dst, link, n, len(fb.links))
 			}
-			from, to := fb.linkEnds(link)
+			from, to := linkEnds(fb, link)
 			if from != at {
 				t.Fatalf("mesh %dx%d route %d->%d: link %d starts at %d, cursor at %d", rows, cols, src, dst, link, from, at)
 			}
@@ -429,6 +395,44 @@ func FuzzMeshRoute(f *testing.F) {
 			t.Fatalf("mesh %dx%d route %d->%d ends at %d", rows, cols, src, dst, at)
 		}
 	})
+}
+
+// linkEnds decodes a mesh or ring link index back to its (from, to)
+// tiles; a local port decodes to (tile, tile). It inverts the link
+// layout independently of the router, so the route tests can check that
+// routes follow real adjacencies.
+func linkEnds(f *network, idx int) (from, to int) {
+	n := f.topo.Nodes
+	if idx < n {
+		return idx, idx
+	}
+	if f.topo.Kind == TopoRing {
+		if idx < 2*n {
+			i := idx - n
+			return i, (i + 1) % n
+		}
+		i := idx - 2*n
+		return i, (i - 1 + n) % n
+	}
+	rows, cols := f.topo.Rows, f.topo.Cols
+	idx -= n
+	if idx < rows*(cols-1) { // east
+		r, c := idx/(cols-1), idx%(cols-1)
+		return r*cols + c, r*cols + c + 1
+	}
+	idx -= rows * (cols - 1)
+	if idx < rows*(cols-1) { // west
+		r, c := idx/(cols-1), idx%(cols-1)
+		return r*cols + c + 1, r*cols + c
+	}
+	idx -= rows * (cols - 1)
+	if idx < cols*(rows-1) { // south
+		c, r := idx/(rows-1), idx%(rows-1)
+		return r*cols + c, (r+1)*cols + c
+	}
+	idx -= cols * (rows - 1)
+	c, r := idx/(rows-1), idx%(rows-1) // north
+	return (r+1)*cols + c, r*cols + c
 }
 
 func abs(x int) int {

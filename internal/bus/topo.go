@@ -15,6 +15,13 @@ const (
 	TopoRing = "ring"
 )
 
+// MaxNodes is the widest machine any interconnect is built for: the
+// processor ceiling (config.MaxProcessors is this constant). The
+// full-bit-vector directories keep sharer sets in two 64-bit words.
+// ParseTopology rejects a shape of more tiles, whatever the processor
+// count, so no topology spec can size an allocation past it.
+const MaxNodes = 128
+
 // Topology is a parsed interconnect topology: the model kind plus its
 // node geometry. The zero value is not valid; build one with
 // ParseTopology.
@@ -56,11 +63,11 @@ func (t Topology) String() string {
 //	"mesh:RxC"    2D mesh with explicit geometry
 //
 // Node ids outside [0, tiles) are folded modulo the tile count, so an
-// explicit size smaller than the processor count shares tiles. Sizes
-// must be at least 1.
+// explicit size smaller than the processor count shares tiles. The
+// processor count and every tile count lie in 1..MaxNodes.
 func ParseTopology(spec string, procs int) (Topology, error) {
-	if procs < 1 {
-		return Topology{}, fmt.Errorf("bus: topology for %d processors", procs)
+	if procs < 1 || procs > MaxNodes {
+		return Topology{}, fmt.Errorf("bus: topology for %d processors (want 1..%d)", procs, MaxNodes)
 	}
 	kind, size := spec, ""
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
@@ -76,8 +83,8 @@ func ParseTopology(spec string, procs int) (Topology, error) {
 		n := procs
 		if size != "" {
 			var err error
-			if n, err = strconv.Atoi(size); err != nil || n < 1 {
-				return Topology{}, fmt.Errorf("bus: topology %q: size must be a positive integer", spec)
+			if n, err = strconv.Atoi(size); err != nil || n < 1 || n > MaxNodes {
+				return Topology{}, fmt.Errorf("bus: topology %q: size must be an integer in 1..%d", spec, MaxNodes)
 			}
 		}
 		return Topology{Kind: kind, Nodes: n}, nil
@@ -92,8 +99,9 @@ func ParseTopology(spec string, procs int) (Topology, error) {
 		}
 		r, err1 := strconv.Atoi(rs)
 		c, err2 := strconv.Atoi(cs)
-		if err1 != nil || err2 != nil || r < 1 || c < 1 {
-			return Topology{}, fmt.Errorf("bus: topology %q: mesh size must be RxC with positive dimensions", spec)
+		// Bounding each dimension first keeps r*c from overflowing.
+		if err1 != nil || err2 != nil || r < 1 || c < 1 || r > MaxNodes || c > MaxNodes || r*c > MaxNodes {
+			return Topology{}, fmt.Errorf("bus: topology %q: mesh size must be RxC with positive dimensions and at most %d tiles", spec, MaxNodes)
 		}
 		return Topology{Kind: TopoMesh, Nodes: r * c, Rows: r, Cols: c}, nil
 	default:

@@ -14,7 +14,9 @@ import (
 // MaxProcessors is the widest machine the simulator models. The
 // directories keep full-bit-vector sharer sets in two 64-bit words, so
 // the scale axis tops out at 128 cores; Validate rejects anything wider.
-const MaxProcessors = 128
+// It is the interconnect's node ceiling, which also bounds every
+// topology's tile count.
+const MaxProcessors = bus.MaxNodes
 
 // MaxBanks bounds the banked interconnect's bank count. Banks must be a
 // power of two (the address interleave masks low line-address bits), and

@@ -94,6 +94,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"gated bad abort bits", func(c *Config) { c.Gating.Enabled = true; c.Gating.AbortCounterBits = 0 }},
 		{"gated bad renew bits", func(c *Config) { c.Gating.Enabled = true; c.Gating.RenewCounterBits = 64 }},
 		{"gated negative wakeup", func(c *Config) { c.Gating.Enabled = true; c.Gating.WakeupCycles = -1 }},
+		{"oversize ring", func(c *Config) { c.Machine.Topology = "ring:100000000" }},
+		{"overflowing mesh", func(c *Config) { c.Machine.Topology = "mesh:4294967296x4294967296" }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

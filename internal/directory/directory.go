@@ -167,7 +167,6 @@ type Directory struct {
 	id       int
 	eng      *sim.Engine
 	bus      bus.Interconnect
-	banks    int // effective interconnect bank count (>= 1)
 	cfg      config.Machine
 	gcfg     config.Gating
 	policy   cm.Policy
@@ -221,11 +220,6 @@ type Directory struct {
 
 	// rec, when non-nil, receives structured protocol events.
 	rec *trace.Recorder
-
-	// ctlBank is the bank gating control traffic interleaves on: control
-	// messages have no line address, so they ride the issuing directory's
-	// id.
-	ctlBank int
 
 	// replyFree pools the read-reply bus crossings, so the miss hot
 	// path sends data back without allocating a closure per read (the
@@ -370,7 +364,7 @@ func (d *Directory) getTxInfo() *txInfoOp {
 	op := &txInfoOp{d: d}
 	op.reqFn = func() {
 		op.pc, op.ok = op.d.procs[op.aborter].TxInfo()
-		op.d.bus.Send(op.aborter, op.d.node(), op.d.ctlBank, op.repFn)
+		op.d.bus.Send(op.aborter, op.d.node(), uint64(op.d.id), op.repFn)
 	}
 	op.repFn = func() { op.d.txInfoDelivered(op) }
 	return op
@@ -408,7 +402,6 @@ func New(id int, eng *sim.Engine, b bus.Interconnect, cfg config.Machine, gcfg c
 		id:        id,
 		eng:       eng,
 		bus:       b,
-		banks:     b.Banks(),
 		cfg:       cfg,
 		gcfg:      gcfg,
 		policy:    policy,
@@ -418,7 +411,6 @@ func New(id int, eng *sim.Engine, b bus.Interconnect, cfg config.Machine, gcfg c
 		announced: make([]bool, cfg.Processors),
 		writer:    -1,
 		gate:      make([]gateEntry, cfg.Processors),
-		ctlBank:   bus.BankOf(uint64(id), b.Banks()),
 	}
 	d.readFn = d.serviceRead
 	d.commitFn = d.commitStep
@@ -596,14 +588,15 @@ func (d *Directory) serviceRead() {
 	}
 	ls := d.line(r.line)
 	ls.sharers.Add(r.proc)
-	// The reply carries the line's data, so it rides the line's bank —
-	// the same FIFO later invalidations of the line use, which preserves
-	// per-line reply/invalidation ordering on every interconnect shape
-	// (on the point-to-point fabrics the same guarantee comes from the
+	// The reply carries the line's data, so its interleave key is the line
+	// address and it rides the line's bank — the same FIFO later
+	// invalidations of the line use, which preserves per-line
+	// reply/invalidation ordering on every interconnect shape (on the
+	// point-to-point fabrics the same guarantee comes from the
 	// deterministic route: same endpoints, same links, FIFO per link).
 	op := d.getReply()
 	op.reply, op.v = r.reply, ls.version
-	d.bus.Send(d.node(), r.proc, bus.BankOf(uint64(r.line), d.banks), op.fn)
+	d.bus.Send(d.node(), r.proc, uint64(r.line), op.fn)
 }
 
 // noteProcessorAlive implements the paper's local-knowledge reconciliation:
@@ -763,7 +756,7 @@ func (d *Directory) commitLine(committer int, tid tokens.TID, l mem.LineAddr) {
 		d.counters.Invalidations++
 		op := d.getInv()
 		op.victim, op.committer, op.line = v, committer, l
-		d.bus.Send(d.node(), v, bus.BankOf(uint64(l), d.banks), op.fn)
+		d.bus.Send(d.node(), v, uint64(l), op.fn)
 	})
 }
 
@@ -882,7 +875,9 @@ func (d *Directory) evaluateUngate(victim int, g *gateEntry, ep uint64) {
 	d.counters.TxInfoRequests++
 	op := d.getTxInfo()
 	op.victim, op.aborter, op.ep = victim, g.aborterProc, ep
-	d.bus.Send(d.node(), op.aborter, d.ctlBank, op.reqFn)
+	// Gating control carries no line address: it interleaves by the
+	// issuing directory's id.
+	d.bus.Send(d.node(), op.aborter, uint64(d.id), op.reqFn)
 }
 
 // sendOn delivers the On command and clears the local OFF state.
@@ -896,7 +891,7 @@ func (d *Directory) sendOn(victim int, g *gateEntry) {
 		v := victim
 		g.onFn = func() { d.procs[v].DeliverOn(d.id) }
 	}
-	d.bus.Send(d.node(), victim, d.ctlBank, g.onFn)
+	d.bus.Send(d.node(), victim, uint64(d.id), g.onFn)
 }
 
 // ForceUngateAll is a test/shutdown hook: ungate every processor this

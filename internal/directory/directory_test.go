@@ -56,7 +56,7 @@ func (f *fakeProc) NoteLineCommitted(l mem.LineAddr, version uint64) {}
 
 type rig struct {
 	eng      *sim.Engine
-	bus      *bus.Bus
+	bus      bus.Interconnect
 	dir      *Directory
 	procs    []*fakeProc
 	counters stats.Counters
@@ -72,7 +72,7 @@ func newRig(t *testing.T, nProcs int, gated bool, edit func(*config.Config)) *ri
 		edit(&cfg)
 	}
 	r := &rig{eng: sim.NewEngine()}
-	r.bus = bus.New(r.eng, cfg.Machine.BusCycles)
+	r.bus = bus.NewInterconnect(r.eng, cfg.Machine.BusCycles, 0, 1, "")
 	r.dir = New(0, r.eng, r.bus, cfg.Machine, cfg.Gating, cm.GatingAware{W0: cfg.Gating.W0}, &r.counters)
 	ports := make([]ProcessorPort, nProcs)
 	for i := 0; i < nProcs; i++ {
@@ -395,7 +395,7 @@ func TestTooManyProcessorsPanics(t *testing.T) {
 		}
 	}()
 	var c stats.Counters
-	New(0, sim.NewEngine(), bus.New(sim.NewEngine(), 1), cfg.Machine, cfg.Gating, cm.None{}, &c)
+	New(0, sim.NewEngine(), bus.NewInterconnect(sim.NewEngine(), 1, 0, 1, ""), cfg.Machine, cfg.Gating, cm.None{}, &c)
 }
 
 func TestEmptyCommitStillTouchesDirectory(t *testing.T) {

@@ -219,13 +219,13 @@ func (s Scenario) CheckPoint() string {
 	switch s.Category() {
 	case "topology":
 		return "paired run completes on the point-to-point fabric; metrics finite; " + counters +
-			"; degenerate-shape byte-identity to the single bus pinned by the topology golden"
+			"; degenerate-shape byte-identity to the single bus pinned by the done-set golden"
 	case "energy":
 		return "paired run completes under a non-default technology point; energy columns finite; " + counters +
 			"; journal reprice byte-identity to fresh simulation pinned by the reprice golden"
 	case "interconnect":
 		return "paired run completes on the banked interconnect; metrics finite; " + counters +
-			"; Banks=1 cycle-equivalence to the single bus pinned by the differential golden"
+			"; Banks=1 cycle-equivalence to the single bus pinned by the done-set golden"
 	case "contention":
 		switch s.Contention {
 		case ContentionHigh:

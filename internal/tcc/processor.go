@@ -533,7 +533,7 @@ func (p *Processor) announceIntent(l mem.LineAddr) {
 	p.announcedDirs = append(p.announcedDirs, home)
 	a := p.getAnnounce()
 	a.dir, a.gen = p.sys.dirs[home], p.gen
-	p.sys.bus.Send(p.id, p.sys.dirNode(home), p.sys.lineBank(l), a.fn)
+	p.sys.bus.Send(p.id, p.sys.dirNode(home), uint64(l), a.fn)
 }
 
 // announceDelivered lands a pooled announcement at its directory. The op
@@ -569,7 +569,7 @@ func (p *Processor) issueMiss(l mem.LineAddr, snap int, resident bool) {
 	m := p.getMiss()
 	m.dir = p.sys.dirs[home]
 	m.line, m.gen, m.snap, m.resident = l, p.gen, snap, resident
-	p.sys.bus.Send(p.id, p.sys.dirNode(home), p.sys.lineBank(l), m.sendFn)
+	p.sys.bus.Send(p.id, p.sys.dirNode(home), uint64(l), m.sendFn)
 }
 
 // missReply lands a pooled miss round trip's data back at the processor.
@@ -607,12 +607,13 @@ func (p *Processor) reachCommitPoint() {
 	}
 	p.setState(stateWaitTID)
 	// Token traffic is pinned to one FIFO on every interconnect shape —
-	// bank 0 on the bus models, tile 0's local port on the fabrics, the
-	// (0,0) pair on the crossbar (bus.VendorNode selects it): the vendor
-	// is one global component, and serializing its round trips preserves
-	// the invariant enterCommitQueue depends on — TID replies deliver in
-	// acquisition order. Spreading them by requester would let a younger
-	// committer's reply overtake an older one's on a less loaded path.
+	// key 0, so bank 0, on the bus shapes, tile 0's local port on the
+	// mesh and ring, the (0,0) pair on the crossbar (bus.VendorNode
+	// selects it): the vendor is one global component, and serializing
+	// its round trips preserves the invariant enterCommitQueue depends on
+	// — TID replies deliver in acquisition order. Spreading them by
+	// requester would let a younger committer's reply overtake an older
+	// one's on a less loaded path.
 	t := p.getToken()
 	t.gen = p.gen
 	p.sys.bus.Send(p.id, bus.VendorNode, 0, t.requestFn)
@@ -728,7 +729,9 @@ func (p *Processor) grant() {
 		c := p.getCommitOp()
 		c.dir, c.group = p.sys.dirs[di], lines[lo:hi]
 		lo = hi
-		p.sys.bus.Send(p.id, p.sys.dirNode(di), p.sys.idBank(di), c.sendFn)
+		// The commit command carries a group of lines, not one: it
+		// interleaves by its target directory's id.
+		p.sys.bus.Send(p.id, p.sys.dirNode(di), uint64(di), c.sendFn)
 	}
 }
 

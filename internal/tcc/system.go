@@ -24,7 +24,6 @@ type System struct {
 	cfg    config.Config
 	eng    *sim.Engine
 	bus    bus.Interconnect
-	nbanks int // effective interconnect bank count (>= 1)
 	geom   *mem.Geometry
 	vendor *tokens.Vendor
 	dirs   []*directory.Directory
@@ -95,7 +94,6 @@ func NewSystem(cfg config.Config, trace *workload.Trace) (*System, error) {
 	s.traceName = trace.Name
 	s.bus = bus.NewInterconnect(s.eng, cfg.Machine.BusCycles, cfg.Machine.Banks,
 		cfg.Machine.Processors, cfg.Machine.Topology)
-	s.nbanks = s.bus.Banks()
 	s.tryGrantFn = func() {
 		s.tryGrantQueued = false
 		s.tryGrant()
@@ -187,22 +185,6 @@ func (s *System) Processors() []*Processor { return s.procs }
 
 // Directories exposes the directory models (for tests).
 func (s *System) Directories() []*directory.Directory { return s.dirs }
-
-// Bus exposes the interconnect (for tests and stats).
-func (s *System) Bus() bus.Interconnect { return s.bus }
-
-// lineBank returns the interconnect bank a line's traffic rides: lines
-// interleave across banks by line address.
-func (s *System) lineBank(l mem.LineAddr) int {
-	return bus.BankOf(uint64(l), s.nbanks)
-}
-
-// idBank returns the bank for control traffic with no line address (token
-// round trips, gating commands): such messages interleave by the
-// originating component's id, keeping them deterministic and spread.
-func (s *System) idBank(id int) int {
-	return bus.BankOf(uint64(id), s.nbanks)
-}
 
 // dirNode returns the interconnect node a directory sits on: directories
 // tile round-robin across the processor nodes (directory j beside
