@@ -93,7 +93,7 @@ func benchFigure(b *testing.B, metric func(power.Comparison) float64, unit strin
 				rs := benchSpec(b, app, np, 0)
 				var cmp power.Comparison
 				for i := 0; i < b.N; i++ {
-					out, err := core.RunPair(rs)
+					out, err := core.RunPair(context.Background(), rs, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -133,7 +133,7 @@ func BenchmarkFig7(b *testing.B) {
 				rs := benchSpec(b, stamp.Intruder, np, w0)
 				var cmp power.Comparison
 				for i := 0; i < b.N; i++ {
-					out, err := core.RunPair(rs)
+					out, err := core.RunPair(context.Background(), rs, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -159,7 +159,7 @@ func BenchmarkAblationPolicies(b *testing.B) {
 			rs.Configure = func(c *config.Config) { c.Gating.Policy = pk }
 			var cmp power.Comparison
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunPair(rs)
+				out, err := core.RunPair(context.Background(), rs, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,7 +185,7 @@ func BenchmarkAblationRenewal(b *testing.B) {
 			var cmp power.Comparison
 			var renewals uint64
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunPair(rs)
+				out, err := core.RunPair(context.Background(), rs, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -203,7 +203,7 @@ func BenchmarkAblationRenewal(b *testing.B) {
 // leakage fractions.
 func BenchmarkAblationSRPG(b *testing.B) {
 	rs := benchSpec(b, stamp.Intruder, 16, 0)
-	out, err := core.RunPair(rs)
+	out, err := core.RunPair(context.Background(), rs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func BenchmarkAblationW0(b *testing.B) {
 			rs := benchSpec(b, stamp.Genome, 16, w0)
 			var cmp power.Comparison
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunPair(rs)
+				out, err := core.RunPair(context.Background(), rs, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,7 +279,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	rs := benchSpec(b, stamp.Genome, 8, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunOne(rs, true); err != nil {
+		if _, err := core.RunSide(context.Background(), rs, true, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func BenchmarkEngineHotPath(b *testing.B) {
 			rs := benchSpec(b, stamp.Intruder, np, 0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunPair(rs); err != nil {
+				if _, err := core.RunPair(context.Background(), rs, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -309,19 +309,20 @@ func BenchmarkEngineHotPath(b *testing.B) {
 // carried across the stream, every run a Reset in place instead of a
 // rebuild. The gap to EngineHotPath/np32 is pure construction and GC
 // (the simulation itself is allocation-free either way; the reuse path
-// measures ~142 allocations per paired cell, the ledger and Result).
+// measures ~21 allocations and ~13 KB per paired cell, the ledgers and
+// Results).
 // cmd/benchsnap records both lanes (cell_32p_* and cell_32p_reuse_*) in
 // BENCH_engine.json on every CI run.
 func BenchmarkEngineHotPathReuse(b *testing.B) {
 	rs := benchSpec(b, stamp.Intruder, 32, 0)
 	sc := &core.SystemCache{}
-	if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+	if _, err := core.RunPair(context.Background(), rs, sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+		if _, err := core.RunPair(context.Background(), rs, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -356,7 +357,7 @@ func BenchmarkInterconnectScaling(b *testing.B) {
 			var st bus.Stats
 			var n1 sim.Time
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunPair(rs)
+				out, err := core.RunPair(context.Background(), rs, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -388,7 +389,7 @@ func BenchmarkTopologyScaling(b *testing.B) {
 			b.ReportAllocs()
 			var st bus.Stats
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunPair(rs)
+				out, err := core.RunPair(context.Background(), rs, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

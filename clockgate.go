@@ -365,7 +365,7 @@ func Run(e Experiment) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.RunPair(rs)
+	out, err := core.RunPair(context.Background(), rs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +398,7 @@ func GenerateTraceScaled(app App, threads int, seed uint64, scale float64) (*Tra
 }
 
 // EventRecorder captures structured protocol events (commits, aborts,
-// gatings, renewals, wake-ups) from a run.
+// gatings, renewals, wake-ups, power-state transitions) from a run.
 type EventRecorder = trace.Recorder
 
 // Event is one recorded protocol event.
@@ -415,6 +415,7 @@ const (
 	EvUngate          = trace.EvUngate
 	EvSelfAbort       = trace.EvSelfAbort
 	EvInvalidate      = trace.EvInvalidate
+	EvState           = trace.EvState
 )
 
 // NewEventRecorder returns an empty recorder for RunSingleWithEvents.
@@ -589,5 +590,5 @@ func RunSingleWithEvents(e Experiment, gated bool, rec *EventRecorder) (*RunResu
 	if err != nil {
 		return nil, err
 	}
-	return core.RunOneRecorded(rs, gated, rec)
+	return core.RunSide(context.Background(), rs, gated, nil, rec)
 }

@@ -96,7 +96,7 @@ func main() {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunPair(rs); err != nil {
+				if _, err := core.RunPair(context.Background(), rs, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -110,13 +110,13 @@ func main() {
 		// steady state: one warm SystemCache carried across the whole
 		// stream, runs reset in place instead of rebuilt.
 		sc := &core.SystemCache{}
-		if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+		if _, err := core.RunPair(context.Background(), rs, sc); err != nil {
 			fatal(err)
 		}
 		r = testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunPairCached(context.Background(), rs, sc); err != nil {
+				if _, err := core.RunPair(context.Background(), rs, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +150,7 @@ func main() {
 			var wait, msgs uint64
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					out, err := core.RunPair(rs)
+					out, err := core.RunPair(context.Background(), rs, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -182,7 +182,7 @@ func main() {
 			var wait, msgs uint64
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					out, err := core.RunPair(rs)
+					out, err := core.RunPair(context.Background(), rs, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

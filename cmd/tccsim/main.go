@@ -1,15 +1,20 @@
 // Command tccsim runs a single workload on the simulated Scalable-TCC
 // machine, with or without the clock-gating protocol, and prints the
-// execution, protocol and energy statistics of the run.
+// execution, protocol and energy statistics of the run. -timeline, -energy
+// and -events attach the protocol event recorder: the state timeline and
+// the interval decomposition fold its power-state events, and -events N
+// prints its first N protocol events (state events are not listed).
 //
 // Usage:
 //
 //	tccsim -app intruder -procs 16 -gated -w0 8 -seed 42
+//	tccsim -app intruder -procs 4 -gated -timeline -energy -events 20
 //	tccsim -app yada -procs 8 -pair        # paired ungated/gated comparison
 //	tccsim -trace yada8.trace -procs 8     # replay a tracegen (CGTRACE2) trace
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -60,7 +65,7 @@ func main() {
 	}
 
 	if *pair {
-		out, err := core.RunPair(rs)
+		out, err := core.RunPair(context.Background(), rs, nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -81,15 +86,16 @@ func main() {
 	}
 
 	var rec *trace.Recorder
-	if *events > 0 {
-		rec = trace.NewRecorder().Limit(*events)
+	if *events > 0 || *timeline || *intervals {
+		rec = trace.NewRecorder()
 	}
-	res, err := core.RunOneRecorded(rs, *gated, rec)
+	res, err := core.RunSide(context.Background(), rs, *gated, nil, rec)
 	if err != nil {
 		fatal(err)
 	}
+	segs := trace.Segments(rec.Events(), *procs, res.Cycles)
 	m := power.Default()
-	energy := m.Energy(res.Ledger, 0, res.Cycles)
+	energy := m.Energy(res.Ledger)
 	mode := "ungated"
 	if *gated {
 		mode = "gated"
@@ -106,7 +112,7 @@ func main() {
 		fmt.Printf("renewals     %d\n", res.Counters.Renewals)
 		fmt.Printf("self-aborts  %d\n", res.Counters.SelfAborts)
 	}
-	tot := res.Ledger.TotalResidency(0, res.Cycles)
+	tot := res.Ledger.TotalResidency()
 	all := float64(tot[0] + tot[1] + tot[2] + tot[3])
 	fmt.Printf("residency    run %.1f%%  miss %.1f%%  commit %.1f%%  gated %.1f%%\n",
 		100*float64(tot[stats.StateRun])/all,
@@ -125,15 +131,22 @@ func main() {
 	}
 	if *timeline {
 		fmt.Println()
-		fmt.Print(report.Timeline{Ledger: res.Ledger, Width: 100}.Render())
+		fmt.Print(report.Timeline{Segments: segs, End: res.Cycles, Width: 100}.Render())
 	}
 	if *intervals {
-		printIntervalDecomposition(res, m, *gated)
+		printIntervalDecomposition(res, segs, m, *gated)
 	}
-	if rec != nil {
+	if *events > 0 {
 		fmt.Println()
-		if err := rec.Dump(os.Stdout); err != nil {
-			fatal(err)
+		shown := 0
+		for _, e := range rec.Events() {
+			if shown == *events {
+				break
+			}
+			if e.Kind != trace.EvState {
+				fmt.Println(e)
+				shown++
+			}
 		}
 	}
 }
@@ -141,8 +154,8 @@ func main() {
 // printIntervalDecomposition evaluates the paper's §IV interval
 // formulation on the run and prints Xi, alpha_i, beta_i and the resulting
 // energy, cross-checked against the direct per-state integration.
-func printIntervalDecomposition(res *tcc.Result, m power.Model, gated bool) {
-	im := power.Intervals(res.Ledger)
+func printIntervalDecomposition(res *tcc.Result, segs [][]stats.Segment, m power.Model, gated bool) {
+	im := power.Intervals(segs, res.Cycles)
 	fmt.Println()
 	fmt.Printf("interval decomposition (paper §IV): N=%d p=%d\n", im.N, im.P)
 	fmt.Printf("%3s %12s %8s %8s\n", "i", "Xi (cycles)", "alpha_i", "beta_i")
@@ -160,7 +173,7 @@ func printIntervalDecomposition(res *tcc.Result, m power.Model, gated bool) {
 		viaEq = im.UngatedEnergy(m)
 		fmt.Printf("Eug via equation (5): %.6g\n", viaEq)
 	}
-	direct := m.Energy(res.Ledger, 0, res.Cycles)
+	direct := m.Energy(res.Ledger)
 	fmt.Printf("    direct integral:  %.6g (delta %.2g)\n", direct, direct-viaEq)
 }
 

@@ -2,8 +2,9 @@
 //
 // Runs a high-contention workload once with gating enabled, records every
 // protocol event, and prints (a) an ASCII Gantt chart of per-processor
-// power states — run / miss / commit / gated — and (b) the first protocol
-// events around the first gating. The '.' bursts in the chart are
+// power states — run / miss / commit / gated — folded from the recorded
+// power-state events, and (b) the first protocol events around the first
+// gating. The '.' bursts in the chart are
 // processors parked by the directory after an abort; that parked time is
 // billed at 0.20x run power by the Table I model.
 //
@@ -17,6 +18,7 @@ import (
 	clockgate "repro"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -26,14 +28,14 @@ func main() {
 		PrivateLines: 64, ComputeMean: 4, InterTxMean: 8, TxTypes: 2,
 	}
 	const procs = 8
-	trace, err := spec.Generate(procs, 11)
+	tr, err := spec.Generate(procs, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	rec := clockgate.NewEventRecorder()
 	res, err := clockgate.RunSingleWithEvents(clockgate.Experiment{
-		Trace: trace, Processors: procs, Seed: 11,
+		Trace: tr, Processors: procs, Seed: 11,
 	}, true, rec)
 	if err != nil {
 		log.Fatal(err)
@@ -57,16 +59,17 @@ func main() {
 		from = 0
 	}
 	fmt.Print(report.Timeline{
-		Ledger: res.Ledger,
-		Width:  96,
-		From:   from,
-		To:     from + 8000,
+		Segments: trace.Segments(rec.Events(), procs, res.Cycles),
+		End:      res.Cycles,
+		Width:    96,
+		From:     from,
+		To:       from + 8000,
 	}.Render())
 
 	fmt.Println("\nprotocol events around the first gating:")
 	shown := 0
 	for _, e := range rec.Events() {
-		if e.Kind == clockgate.EvInvalidate || e.Kind == clockgate.EvTxBegin {
+		if e.Kind == clockgate.EvInvalidate || e.Kind == clockgate.EvTxBegin || e.Kind == clockgate.EvState {
 			continue // too chatty for a demo
 		}
 		if e.At < focus {

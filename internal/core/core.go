@@ -87,36 +87,6 @@ func cancelHook(ctx context.Context) func() error {
 	return func() error { return context.Cause(ctx) }
 }
 
-// RunOne executes a single configuration (gated or not) of the spec.
-func RunOne(rs RunSpec, gated bool) (*tcc.Result, error) {
-	return RunOneRecorded(rs, gated, nil)
-}
-
-// RunOneRecorded is RunOne with a protocol event recorder attached to the
-// machine (nil records nothing).
-func RunOneRecorded(rs RunSpec, gated bool, rec *trace.Recorder) (*tcc.Result, error) {
-	return runOne(context.Background(), rs, gated, rec)
-}
-
-func runOne(ctx context.Context, rs RunSpec, gated bool, rec *trace.Recorder) (*tcc.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr, err := rs.trace()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := tcc.NewSystem(rs.Config(gated), tr)
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		sys.SetRecorder(rec)
-	}
-	sys.SetCancel(cancelHook(ctx))
-	return sys.Run()
-}
-
 // SystemCache holds one constructed tcc.System for reuse across a stream
 // of runs with the same machine shape. A cache belongs to exactly one
 // worker goroutine — it is not safe for concurrent use — and caches the
@@ -135,18 +105,13 @@ type SystemCache struct {
 
 // RunPair executes the spec twice on the identical trace — ungated
 // baseline and gated — and compares them with the paper's energy model.
-func RunPair(rs RunSpec) (*Outcome, error) {
-	return RunPairCached(context.Background(), rs, nil)
-}
-
-// RunPairCached is RunPair with context cancellation and an optional
-// per-worker System cache. The context is checked between phases and
-// polled inside each simulation, so a canceled campaign stops mid-run
-// instead of finishing the cell. With a cache, both runs of the pair (and
-// every later pair of the same machine shape) execute on one reused
-// System instead of constructing a fresh machine per run; a nil cache
-// selects fresh construction. Results are byte-identical either way.
-func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, error) {
+// The context is checked between phases and polled inside each
+// simulation, so a canceled campaign stops mid-run instead of finishing
+// the cell. With a cache, both runs of the pair (and every later pair of
+// the same machine shape) execute on one reused System instead of
+// constructing a fresh machine per run; a nil cache selects fresh
+// construction. Results are byte-identical either way.
+func RunPair(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -156,16 +121,16 @@ func RunPairCached(ctx context.Context, rs RunSpec, sc *SystemCache) (*Outcome, 
 	}
 	rs.Trace = tr // pin the trace so both runs share it exactly
 
-	ungated, err := RunSide(ctx, rs, false, sc)
+	ungated, err := RunSide(ctx, rs, false, sc, nil)
 	if err != nil {
 		return Assemble(ctx, rs, nil, err, nil, nil)
 	}
-	gated, err := RunSide(ctx, rs, true, sc)
+	gated, err := RunSide(ctx, rs, true, sc, nil)
 	return Assemble(ctx, rs, ungated, nil, gated, err)
 }
 
 // Assemble builds a pair's Outcome from its two sides, however they were
-// obtained: RunPairCached runs both, a campaign session may take the
+// obtained: RunPair runs both, a campaign session may take the
 // ungated side from another cell with the same baseline. A failed side
 // turns into the pair's error, the ungated side's first; when ctx is done
 // by then, the error is ctx.Err().
@@ -191,34 +156,37 @@ func Assemble(ctx context.Context, rs RunSpec, ungated *tcc.Result, ungatedErr e
 }
 
 // RunSide runs one side of rs's pair on rs.Trace (generated from rs.App
-// when unset), on sc's System when its shape matches. A nil cache selects
-// fresh construction; results are byte-identical either way.
-func RunSide(ctx context.Context, rs RunSpec, gated bool, sc *SystemCache) (*tcc.Result, error) {
+// when unset), on sc's System when its shape matches, with rec attached
+// when non-nil. A nil cache selects fresh construction; results are
+// byte-identical either way.
+func RunSide(ctx context.Context, rs RunSpec, gated bool, sc *SystemCache, rec *trace.Recorder) (*tcc.Result, error) {
 	tr, err := rs.trace()
 	if err != nil {
 		return nil, err
 	}
 	cfg := rs.Config(gated)
+	var sys *tcc.System
 	if sc != nil && sc.sys != nil {
 		switch err := sc.sys.Reset(cfg, tr); {
 		case err == nil:
 			sc.Reuses++
-			sc.sys.SetCancel(cancelHook(ctx))
-			return sc.sys.Run()
+			sys = sc.sys
 		case !errors.Is(err, tcc.ErrShapeChange):
 			// Invalid config or trace: fresh construction would fail the
 			// same validation, so surface the error directly.
 			return nil, err
 		}
 	}
-	sys, err := tcc.NewSystem(cfg, tr)
-	if err != nil {
-		return nil, err
+	if sys == nil {
+		if sys, err = tcc.NewSystem(cfg, tr); err != nil {
+			return nil, err
+		}
+		if sc != nil {
+			sc.sys = sys
+			sc.Rebuilds++
+		}
 	}
-	if sc != nil {
-		sc.sys = sys
-		sc.Rebuilds++
-	}
+	sys.SetRecorder(rec)
 	sys.SetCancel(cancelHook(ctx))
 	return sys.Run()
 }

@@ -32,7 +32,7 @@ func quickTrace(t *testing.T, procs int) *workload.Trace {
 }
 
 func TestRunPairProducesBothResults(t *testing.T) {
-	out, err := RunPair(RunSpec{Trace: quickTrace(t, 4), Processors: 4, Seed: 17})
+	out, err := RunPair(context.Background(), RunSpec{Trace: quickTrace(t, 4), Processors: 4, Seed: 17}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRunPairProducesBothResults(t *testing.T) {
 }
 
 func TestRunPairUsesSameTrace(t *testing.T) {
-	out, err := RunPair(RunSpec{Trace: quickTrace(t, 2), Processors: 2, Seed: 17})
+	out, err := RunPair(context.Background(), RunSpec{Trace: quickTrace(t, 2), Processors: 2, Seed: 17}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunPairUsesSameTrace(t *testing.T) {
 func TestRunPairFromPreset(t *testing.T) {
 	// Preset path (no explicit trace): shrink the workload via Configure
 	// being unavailable for specs — use a tiny preset run at 4 procs.
-	out, err := RunPair(RunSpec{App: stamp.KMeans, Processors: 4, Seed: 1})
+	out, err := RunPair(context.Background(), RunSpec{App: stamp.KMeans, Processors: 4, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,15 @@ func TestRunPairFromPreset(t *testing.T) {
 	}
 }
 
+// TestRunOneRespectsGatedFlag: the one side runner runs the side it is
+// asked for.
 func TestRunOneRespectsGatedFlag(t *testing.T) {
-	tr := quickTrace(t, 2)
-	ug, err := RunOne(RunSpec{Trace: tr, Processors: 2, Seed: 17}, false)
+	rs := RunSpec{Trace: quickTrace(t, 2), Processors: 2, Seed: 17}
+	ug, err := RunSide(context.Background(), rs, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := RunOne(RunSpec{Trace: tr, Processors: 2, Seed: 17}, true)
+	g, err := RunSide(context.Background(), rs, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +95,13 @@ func TestRunOneRespectsGatedFlag(t *testing.T) {
 func TestConfigureHookApplies(t *testing.T) {
 	tr := quickTrace(t, 2)
 	called := 0
-	_, err := RunPair(RunSpec{
+	_, err := RunPair(context.Background(), RunSpec{
 		Trace: tr, Processors: 2, Seed: 17,
 		Configure: func(c *config.Config) {
 			called++
 			c.Machine.MemoryCycles = 50
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +112,11 @@ func TestConfigureHookApplies(t *testing.T) {
 
 func TestW0Propagates(t *testing.T) {
 	tr := quickTrace(t, 4)
-	a, err := RunPair(RunSpec{Trace: tr, Processors: 4, Seed: 17, W0: 2})
+	a, err := RunPair(context.Background(), RunSpec{Trace: tr, Processors: 4, Seed: 17, W0: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPair(RunSpec{Trace: tr, Processors: 4, Seed: 17, W0: 64})
+	b, err := RunPair(context.Background(), RunSpec{Trace: tr, Processors: 4, Seed: 17, W0: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +132,12 @@ func TestW0Propagates(t *testing.T) {
 
 func TestCustomPowerModel(t *testing.T) {
 	tr := quickTrace(t, 2)
-	deflt, err := RunPair(RunSpec{Trace: tr, Processors: 2, Seed: 17})
+	deflt, err := RunPair(context.Background(), RunSpec{Trace: tr, Processors: 2, Seed: 17}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srpg, err := RunPair(RunSpec{Trace: tr, Processors: 2, Seed: 17,
-		Model: power.Default().WithSRPG(0.1)})
+	srpg, err := RunPair(context.Background(), RunSpec{Trace: tr, Processors: 2, Seed: 17,
+		Model: power.Default().WithSRPG(0.1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestCustomPowerModel(t *testing.T) {
 }
 
 func TestUnknownPresetFails(t *testing.T) {
-	if _, err := RunPair(RunSpec{App: stamp.App("nope"), Processors: 2, Seed: 1}); err == nil {
+	if _, err := RunPair(context.Background(), RunSpec{App: stamp.App("nope"), Processors: 2, Seed: 1}, nil); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 }
@@ -158,11 +160,11 @@ func TestUnknownPresetFails(t *testing.T) {
 // alone otherwise, and a done context reports ctx.Err().
 func TestAssembleErrorPrecedence(t *testing.T) {
 	rs := RunSpec{Trace: quickTrace(t, 2), Processors: 2, Seed: 17}
-	ungated, err := RunSide(context.Background(), rs, false, nil)
+	ungated, err := RunSide(context.Background(), rs, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := RunSide(context.Background(), rs, true, nil)
+	gated, err := RunSide(context.Background(), rs, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestAssembleErrorPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := RunPair(rs)
+	pair, err := RunPair(context.Background(), rs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

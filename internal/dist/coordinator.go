@@ -541,6 +541,13 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 				res.Pos, res.Record.Cell.Key(), c.cells[res.Pos].Key()), http.StatusConflict)
 			return
 		}
+		if res.Err == "" {
+			if err := res.Record.Validate(); err != nil {
+				c.mu.Unlock()
+				http.Error(w, fmt.Sprintf("result for position %d: %v", res.Pos, err), http.StatusBadRequest)
+				return
+			}
+		}
 	}
 
 	now := time.Now()

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/stamp"
+	"repro/internal/stats"
 )
 
 // chaosOptions is a slightly wider campaign (6 cells) so the chaos
@@ -356,6 +358,20 @@ func TestFleetReturnAtomicOnInvalidBatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("foreign-record batch got %s, want 409", resp.Status)
+	}
+	if cs := coord.Stats(); cs.Returned != 0 {
+		t.Errorf("partial merge after rejected batch: %+v", cs)
+	}
+
+	// A residency row at index 1 summing to Cycles+1: the record does not
+	// partition its run, so the whole batch is rejected with 400.
+	bad = []CellReturn{results[0], results[1]}
+	bad[1].Record.Gated.Residency = slices.Clone(bad[1].Record.Gated.Residency)
+	bad[1].Record.Gated.Residency[0][stats.StateRun]++
+	resp = post(bad)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("residency-mismatch batch got %s, want 400", resp.Status)
 	}
 	if cs := coord.Stats(); cs.Returned != 0 {
 		t.Errorf("partial merge after rejected batch: %+v", cs)

@@ -142,12 +142,12 @@ func TestEnergyLinearInResidency(t *testing.T) {
 		m := tech.Model()
 		l1 := stats.RestoreLedger(base, 2000)
 		l4 := stats.RestoreLedger(scaled, 8000)
-		e1 := m.Energy(l1, 0, 2000)
-		e4 := m.Energy(l4, 0, 8000)
+		e1 := m.Energy(l1)
+		e4 := m.Energy(l4)
 		if e4 != 4*e1 {
 			t.Errorf("tech %s: energy not linear in residency: E(4r)=%v, 4E(r)=%v", tech.Name, e4, e1*4)
 		}
-		bs := m.EnergyByState(l1, 0, 2000)
+		bs := m.EnergyByState(l1)
 		sum := bs[0] + bs[1] + bs[2] + bs[3]
 		if sum != e1 {
 			t.Errorf("tech %s: per-state breakdown sums to %v, Energy is %v", tech.Name, sum, e1)

@@ -28,9 +28,7 @@ func TestTraceCacheKeyAudit(t *testing.T) {
 	if _, err := s.RunCells(context.Background(), []Cell{base, banked, meshed}); err != nil {
 		t.Fatal(err)
 	}
-	s.traceMu.Lock()
-	entries := len(s.traces)
-	s.traceMu.Unlock()
+	entries := len(traceCacheKeys(s))
 	if entries != 1 {
 		t.Fatalf("cells differing only in interconnect shape occupy %d trace-cache entries, want 1", entries)
 	}
@@ -40,9 +38,7 @@ func TestTraceCacheKeyAudit(t *testing.T) {
 	if _, err := s.RunCells(context.Background(), []Cell{wider}); err != nil {
 		t.Fatal(err)
 	}
-	s.traceMu.Lock()
-	entries = len(s.traces)
-	s.traceMu.Unlock()
+	entries = len(traceCacheKeys(s))
 	if entries != 2 {
 		t.Fatalf("cells at different processor counts occupy %d trace-cache entries, want 2 (processor count must be in the key)", entries)
 	}

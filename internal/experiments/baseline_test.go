@@ -46,6 +46,16 @@ func axesCells(seed uint64, apps ...stamp.App) []Cell {
 	return cells
 }
 
+// siblingsApart is two W0 siblings of one genome cell with n cells of
+// distinct trace keys between them.
+func siblingsApart(n int) []Cell {
+	cells := []Cell{{App: stamp.Genome, Processors: 4, W0: 2, Seed: 42}}
+	for i := 0; i < n; i++ {
+		cells = append(cells, Cell{Index: len(cells), App: stamp.Intruder, Processors: 2, W0: 2, Seed: uint64(100 + i)})
+	}
+	return append(cells, Cell{Index: len(cells), App: stamp.Genome, Processors: 4, W0: 32, Seed: 42})
+}
+
 // runEachCell runs every cell in its own RunCells call, from clients
 // closed-loop goroutines that take the cells in order, as the end-to-end
 // benchmark does, and returns the outcomes in cell order.
@@ -108,8 +118,8 @@ func TestSessionStatsCounts(t *testing.T) {
 			want: Stats{TraceGenerations: 9, TraceHits: 18, BaselinesRun: 9, BaselinesShared: 18},
 		},
 		{
-			// W0-major order puts siblings three cells apart, beyond one
-			// worker's two retained baselines; the call's holds keep them.
+			// W0-major order puts siblings three cells apart; the call
+			// holds their entries until its last cell with the key ends.
 			name: "fig7 sweep at one worker",
 			opts: Options{Seed: 42, Scale: 0.02, Processors: []int{8}, Workers: 1},
 			run: func(t *testing.T, s *Session) int {
@@ -121,21 +131,28 @@ func TestSessionStatsCounts(t *testing.T) {
 			want: Stats{TraceGenerations: 3, TraceHits: 12, BaselinesRun: 3, BaselinesShared: 12},
 		},
 		{
-			// Separate calls hold nothing across each other: with two
-			// baselines retained, the first is evicted before its sibling
-			// three calls later asks for it.
+			// Separate calls hold nothing across each other: after
+			// retainedEntries other trace keys the first entry, trace and
+			// baseline both, is evicted before its sibling asks for it.
 			name: "sibling beyond the window",
 			opts: Options{Seed: 42, Scale: 0.02, Workers: 1},
 			run: func(t *testing.T, s *Session) int {
-				cells := []Cell{
-					{App: stamp.Genome, Processors: 4, W0: 2, Seed: 42},
-					{App: stamp.Yada, Processors: 4, W0: 2, Seed: 42},
-					{App: stamp.Intruder, Processors: 4, W0: 2, Seed: 42},
-					{App: stamp.Genome, Processors: 4, W0: 32, Seed: 42},
-				}
-				return len(runEachCell(t, s, cells, 1))
+				return len(runEachCell(t, s, siblingsApart(retainedEntries), 1))
 			},
-			want: Stats{TraceGenerations: 3, TraceHits: 1, BaselinesRun: 4},
+			want: Stats{TraceGenerations: retainedEntries + 2, BaselinesRun: retainedEntries + 2},
+		},
+		{
+			// Within one call the sibling shares however far apart it is.
+			name: "sibling beyond the window in one call",
+			opts: Options{Seed: 42, Scale: 0.02, Workers: 1},
+			run: func(t *testing.T, s *Session) int {
+				cells := siblingsApart(retainedEntries)
+				if _, err := s.RunCells(context.Background(), cells); err != nil {
+					t.Fatal(err)
+				}
+				return len(cells)
+			},
+			want: Stats{TraceGenerations: retainedEntries + 1, TraceHits: 1, BaselinesRun: retainedEntries + 1, BaselinesShared: 1},
 		},
 		{
 			// The key is the whole ungated machine: banks and topology
@@ -152,7 +169,7 @@ func TestSessionStatsCounts(t *testing.T) {
 			want: Stats{TraceGenerations: 1, TraceHits: 7, BaselinesRun: 3, BaselinesShared: 5},
 		},
 		{
-			// NoTraceCache turns both cross-cell caches off.
+			// NoTraceCache turns the cross-cell cache off.
 			name: "caches off",
 			opts: Options{Seed: 1, Scale: 0.01, Workers: 2, NoTraceCache: true},
 			run:  paper,
@@ -189,7 +206,7 @@ func cellCSV(t *testing.T, c Cell, o *core.Outcome) string {
 	return b.String()
 }
 
-// freshCSV runs c on a session with both cross-cell caches and System
+// freshCSV runs c on a session with the cross-cell cache and System
 // reuse off: the independent reference.
 func freshCSV(t *testing.T, o Options, c Cell) string {
 	t.Helper()
@@ -203,23 +220,23 @@ func freshCSV(t *testing.T, o Options, c Cell) string {
 	return cellCSV(t, c, outs[0])
 }
 
-// memoKey is c's shared-baseline key in s.
-func memoKey(t *testing.T, s *Session, c Cell) baselineKey {
+// cached reports how many entries the session cache keeps, how many
+// baselines they hold, and whether c's baseline is among them.
+func cached(t *testing.T, s *Session, c Cell) (entries, baselines int, has bool) {
 	t.Helper()
 	rs, err := s.cellSpec(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return baselineKey{trace: s.traceKey(c), cfg: rs.Config(false)}
-}
-
-// state reports how many slots and completed baselines the memo holds,
-// and whether key has a slot.
-func (m *baselineMemo) state(key baselineKey) (slots, done int, has bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, has = m.slots[key]
-	return len(m.slots), len(m.done), has
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	for _, e := range s.cache {
+		baselines += len(e.baselines)
+	}
+	if e, ok := s.cache[s.traceKey(c)]; ok {
+		_, has = e.baselines[rs.Config(false)]
+	}
+	return len(s.cache), baselines, has
 }
 
 // waitUntil polls cond until it holds, failing the test after a minute.
@@ -232,10 +249,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSharedBaselineFailurePaths pins the memo's failure rules: a claim
-// canceled mid-baseline is not shared and its waiting sibling runs the
-// baseline itself, a failing baseline is not cached, and Close drops the
-// retained baselines. CI runs it race-enabled ten times over.
+// TestSharedBaselineFailurePaths pins the shared baseline's failure
+// rules: a claim canceled mid-baseline is not shared and its waiting
+// sibling runs the baseline itself, a failing baseline is not cached, and
+// Close drops the cache with its baselines. CI runs it race-enabled ten
+// times over.
 func TestSharedBaselineFailurePaths(t *testing.T) {
 	t.Run("claimer canceled mid-baseline", func(t *testing.T) {
 		o := Options{Seed: 42, Scale: 0.2, Workers: 2}
@@ -246,7 +264,6 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 
 		s := NewSession(o)
 		defer s.Close()
-		key := memoKey(t, s, claimer)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		claimErr := make(chan error, 1)
@@ -255,7 +272,7 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 			claimErr <- err
 		}()
 		waitUntil(t, "the claimer runs its baseline", func() bool {
-			_, _, has := s.baselines.state(key)
+			_, _, has := cached(t, s, claimer)
 			return has
 		})
 		type result struct {
@@ -293,21 +310,26 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 		sibling.W0 = 8
 		s := NewSession(Options{Seed: 42, Scale: 0.02, Workers: 2})
 		defer s.Close()
-		key := memoKey(t, s, bad)
 		if _, err := s.RunCells(context.Background(), []Cell{bad}); err == nil || !strings.Contains(err.Error(), "ungated run") {
 			t.Fatalf("error %v, want the ungated run's", err)
 		}
-		if _, _, has := s.baselines.state(key); has {
-			t.Fatal("a failed baseline stayed in the memo")
+		if _, _, has := cached(t, s, bad); has {
+			t.Fatal("a failed baseline stayed in the cache")
 		}
 
-		// Claim the key by hand, let the sibling find it running, then
-		// fail the claim. The sibling must run the baseline itself and
-		// report its own ungated error, although its gated side, run
+		// Claim the baseline by hand, let the sibling find it running,
+		// then fail the claim. The sibling must run the baseline itself
+		// and report its own ungated error, although its gated side, run
 		// first while it waited, failed too.
-		b, claimed := s.baselines.acquire(key)
+		e := s.holdEntries([]Cell{bad})[0]
+		defer s.release(e)
+		rs, err := s.cellSpec(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, claimed := s.claim(e, rs.Config(false))
 		if !claimed {
-			t.Fatal("the key of a failed baseline was still claimed")
+			t.Fatal("the failed baseline was still claimed")
 		}
 		sibErr := make(chan error, 1)
 		go func() {
@@ -317,7 +339,7 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 		waitUntil(t, "the sibling finds the baseline running", func() bool {
 			return s.Stats().BaselinesWaited == 1
 		})
-		s.baselines.finish(key, b, nil, errors.New("hand-made claim failed"))
+		s.publish(e, rs.Config(false), b, nil, errors.New("hand-made claim failed"))
 		if err := <-sibErr; err == nil || !strings.Contains(err.Error(), "ungated run") ||
 			strings.Contains(err.Error(), "hand-made") {
 			t.Fatalf("sibling: error %v, want its own ungated run's", err)
@@ -325,8 +347,8 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 		if st := s.Stats(); st.BaselinesRun != 2 || st.BaselinesShared != 0 {
 			t.Fatalf("stats %+v: want both cells' own baselines run, none shared", st)
 		}
-		if slots, done, _ := s.baselines.state(key); slots != 0 || done != 0 {
-			t.Fatalf("memo keeps %d slots, %d completed, after failures only", slots, done)
+		if _, baselines, _ := cached(t, s, bad); baselines != 0 {
+			t.Fatalf("cache keeps %d baselines after failures only", baselines)
 		}
 	})
 
@@ -334,18 +356,17 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 		o := Options{Seed: 42, Scale: 0.02, Workers: 2}
 		c := Cell{App: stamp.Intruder, Processors: 4, W0: 2, Seed: 42}
 		s := NewSession(o)
-		key := memoKey(t, s, c)
 		if _, err := s.RunCells(context.Background(), []Cell{c}); err != nil {
 			t.Fatal(err)
 		}
-		if _, done, has := s.baselines.state(key); done != 1 || !has {
-			t.Fatalf("memo keeps %d completed baselines (key present %v), want the cell's", done, has)
+		if _, baselines, has := cached(t, s, c); baselines != 1 || !has {
+			t.Fatalf("cache keeps %d baselines (the cell's present %v), want the cell's", baselines, has)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if slots, done, _ := s.baselines.state(key); slots != 0 || done != 0 {
-			t.Fatalf("after Close the memo keeps %d slots, %d completed", slots, done)
+		if entries, baselines, _ := cached(t, s, c); entries != 0 || baselines != 0 {
+			t.Fatalf("after Close the cache keeps %d entries, %d baselines", entries, baselines)
 		}
 		// A cell that straggles in after Close runs inline and is not kept.
 		outs, err := s.RunCells(context.Background(), []Cell{c})
@@ -355,8 +376,8 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 		if got, want := cellCSV(t, c, outs[0]), freshCSV(t, o, c); got != want {
 			t.Fatalf("cell after Close differs from a fresh run:\n--- fresh ---\n%s--- got ---\n%s", want, got)
 		}
-		if slots, done, _ := s.baselines.state(key); slots != 0 || done != 0 {
-			t.Fatalf("after Close a cell left %d slots, %d completed", slots, done)
+		if entries, baselines, _ := cached(t, s, c); entries != 0 || baselines != 0 {
+			t.Fatalf("after Close a cell left %d entries, %d baselines", entries, baselines)
 		}
 	})
 }

@@ -157,7 +157,7 @@ func (ck *Checkpoint) load(fingerprint string) error {
 	}
 	for _, line := range lines[1:] {
 		var rec CellRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Validate() != nil {
 			// A corrupt interior line; skip it and let the cell re-run.
 			continue
 		}

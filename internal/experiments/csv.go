@@ -130,7 +130,7 @@ func (c *Campaign) writeCSV(w io.Writer, header bool) error {
 		if err != nil {
 			return err
 		}
-		egs := tech.Model().EnergyByState(o.Gated.Ledger, 0, o.Gated.Cycles)
+		egs := tech.Model().EnergyByState(o.Gated.Ledger)
 		row := []string{
 			string(cell.App),
 			fmt.Sprintf("%d", cell.Processors),

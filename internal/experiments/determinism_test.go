@@ -180,11 +180,11 @@ func TestScenarioCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedBaselineByteIdentical pins the shared-baseline memo to the
-// memo-off path on the sweeps whose cells share ungated baselines: Fig 7
+// TestSharedBaselineByteIdentical pins the shared baselines to the
+// cache-off path on the sweeps whose cells share ungated baselines: Fig 7
 // (siblings a W0 step apart, len(apps) cells away), the paper grid's W0
 // axis (siblings adjacent), and one trace crossed with machine and
-// energy axes (only some cells may share). With the memo on, CSV and
+// energy axes (only some cells may share). With the cache on, CSV and
 // rendered reports must be byte-identical to NoTraceCache's at one and
 // four workers, for one batch call and for one cell per call from four
 // clients.
@@ -200,11 +200,11 @@ func TestSharedBaselineByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
 			for _, run := range []struct {
-				memoOff bool
-				workers int
-				clients int // one cell per call from this many clients; 0 is one batch call
+				cacheOff bool
+				workers  int
+				clients  int // one cell per call from this many clients; 0 is one batch call
 			}{{true, 1, 0}, {true, 4, 0}, {false, 1, 0}, {false, 4, 0}, {false, 4, 4}} {
-				o := Options{Seed: 42, Scale: 0.02, Workers: run.workers, NoTraceCache: run.memoOff}
+				o := Options{Seed: 42, Scale: 0.02, Workers: run.workers, NoTraceCache: run.cacheOff}
 				s := NewSession(o)
 				cells := tc.cells(o)
 				var outs []*core.Outcome
@@ -229,7 +229,7 @@ func TestSharedBaselineByteIdentical(t *testing.T) {
 				if want == "" {
 					want = got
 				} else if got != want {
-					t.Fatalf("%+v: output diverged from the memo-off run:\n--- memo off ---\n%s\n--- got ---\n%s",
+					t.Fatalf("%+v: output diverged from the cache-off run:\n--- cache off ---\n%s\n--- got ---\n%s",
 						run, want, got)
 				}
 			}

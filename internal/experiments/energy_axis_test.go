@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,9 +84,7 @@ func TestTraceCacheIgnoresTech(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.traceMu.Lock()
-	entries := len(s.traces)
-	s.traceMu.Unlock()
+	entries := len(traceCacheKeys(s))
 	if entries != 1 {
 		t.Fatalf("cells differing only in tech occupy %d trace-cache entries, want 1", entries)
 	}
@@ -193,4 +193,105 @@ func TestRepriceRoundTripEquivalence(t *testing.T) {
 	if liveCSV.String() != restoredCSV.String() {
 		t.Fatalf("round-trip CSV diverges:\nlive:\n%s\nrestored:\n%s", liveCSV.String(), restoredCSV.String())
 	}
+}
+
+// twoCellJournal runs a two-cell campaign (intruder on 2 and 4
+// processors) with a checkpoint attached and returns its journal.
+func twoCellJournal(tb testing.TB) []byte {
+	tb.Helper()
+	o := Options{Seed: 42, Scale: 0.02, Apps: []stamp.App{stamp.Intruder}, Processors: []int{2, 4}}
+	path := filepath.Join(tb.TempDir(), "journal.jsonl")
+	s := NewSession(o)
+	defer s.Close()
+	if err := s.SetCheckpoint(path); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.RunCells(context.Background(), o.Cells()); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestJournalSkipsRecordsFailingValidate: a journal line whose residency
+// does not partition its run's cycles is skipped like a corrupt line, by
+// the journal reader and by checkpoint replay alike, while the journal's
+// other record survives.
+func TestJournalSkipsRecordsFailingValidate(t *testing.T) {
+	lines := strings.Split(strings.TrimRight(string(twoCellJournal(t)), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("journal has %d lines, want a header and two records", len(lines))
+	}
+	var hdr checkpointHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*CellRecord)
+	}{
+		{"row sums to Cycles+1", func(r *CellRecord) { r.Gated.Residency[0][stats.StateRun]++ }},
+		{"negative entry", func(r *CellRecord) {
+			r.Ungated.Residency[1][stats.StateGated] -= 5
+			r.Ungated.Residency[1][stats.StateRun] += 5
+		}},
+		{"row missing", func(r *CellRecord) { r.Gated.Residency = r.Gated.Residency[1:] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rec CellRecord
+			if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&rec)
+			bad, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal := lines[0] + "\n" + string(bad) + "\n" + lines[2] + "\n"
+
+			recs, err := ReadJournal(strings.NewReader(journal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 1 || recs[0].Cell.Key() == rec.Cell.Key() {
+				t.Fatalf("journal reader kept %d records, want only the valid one", len(recs))
+			}
+
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := OpenCheckpoint(path, hdr.Campaign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck.Close()
+			if _, ok := ck.Lookup(rec.Cell); ok || ck.Len() != 1 {
+				t.Fatalf("checkpoint replay restored the bad record (%d on record)", ck.Len())
+			}
+		})
+	}
+}
+
+// FuzzReadJournal feeds the journal reader arbitrary bytes, seeded with a
+// real two-cell journal. It must never panic, every record it returns must
+// pass CellRecord.Validate, and re-pricing those records must not panic
+// either.
+func FuzzReadJournal(f *testing.F) {
+	f.Add(twoCellJournal(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadJournal(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, rec := range recs {
+			if err := rec.Validate(); err != nil {
+				t.Fatalf("returned record fails validation: %v", err)
+			}
+		}
+		Reprice(recs, nil)
+	})
 }

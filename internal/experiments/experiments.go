@@ -64,7 +64,7 @@ type Options struct {
 	// cells, for splitting a campaign across machines. The zero value
 	// runs everything.
 	Shard Shard
-	// NoTraceCache disables the session's cross-cell caches: traces and
+	// NoTraceCache disables the session's cross-cell cache of traces and
 	// ungated baselines. Every cell then regenerates its trace and runs
 	// its own ungated baseline. Results are identical either way; this
 	// exists for benchmarks, debugging and independent cross-checks, not
@@ -77,7 +77,7 @@ type Options struct {
 	// differential tests themselves.
 	NoSystemReuse bool
 	// TraceDir, when non-empty, names an on-disk tracestore directory
-	// consulted below the in-process trace cache: an LRU miss loads the
+	// consulted below the in-process trace cache: a cache miss loads the
 	// trace from the store (mmap'd, zero-copy) before falling back to
 	// generation, and generated traces are published for other processes.
 	// Generation is deterministic, so the store — like the other cache

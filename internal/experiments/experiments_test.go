@@ -132,12 +132,12 @@ func TestFig7Runs(t *testing.T) {
 func TestScaleReducesWork(t *testing.T) {
 	o := quickOptions()
 	cell := Cell{App: stamp.Intruder, Processors: 2, Seed: o.Seed}
-	small, err := NewSession(o).trace(cell)
+	small, err := NewSession(o).cachedTrace(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Scale = 0.5
-	big, err := NewSession(o).trace(cell)
+	big, err := NewSession(o).cachedTrace(cell)
 	if err != nil {
 		t.Fatal(err)
 	}

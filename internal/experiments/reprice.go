@@ -28,13 +28,14 @@ import (
 // ReadJournal parses a checkpoint/fleet journal stream: the header line
 // is validated for version (the campaign fingerprint is deliberately
 // ignored — re-pricing reads any campaign's journal), corrupt interior
-// lines and a torn final line are skipped exactly as a checkpoint
-// resume would drop them, records are deduplicated by cell key (last
-// record wins, matching checkpoint replay), and the surviving records
-// are returned sorted by cell index — the campaign's canonical order.
+// lines, records failing CellRecord.Validate and a torn final line are
+// skipped exactly as a checkpoint resume would drop them, records are
+// deduplicated by cell key (last record wins, matching checkpoint
+// replay), and the surviving records are returned sorted by cell index —
+// the campaign's canonical order.
 func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: journal read: %w", err)
@@ -52,7 +53,7 @@ func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	var recs []CellRecord
 	for sc.Scan() {
 		var rec CellRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Validate() != nil {
 			// A corrupt or torn line; skip it like checkpoint replay does.
 			continue
 		}

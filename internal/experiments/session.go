@@ -18,10 +18,10 @@ import (
 
 // Session is the campaign execution engine behind every sweep in this
 // package: a long-lived runner that owns a worker pool (Options.Workers
-// goroutines, started lazily), two cross-cell caches and an optional
-// JSONL checkpoint sink. The caches are a per-(app, threads, scale,
-// contention, seed) trace cache and a shared-baseline memo, which runs
-// each ungated simulation once for all cells with the same trace and
+// goroutines, started lazily), one cross-cell cache and an optional JSONL
+// checkpoint sink. The cache holds, per (app, threads, scale, contention,
+// seed) trace key, the trace and the ungated baselines run on it, so each
+// ungated simulation runs once for all cells with the same trace and
 // ungated machine (Fig 7's W0 axis, the energy axis). Stats reports which
 // caches served the cells. Create one with NewSession, run any number of
 // sweeps on it — Run, RunCells, Stream, RunScenarios, Fig7, MultiSeed,
@@ -44,12 +44,13 @@ type Session struct {
 	poolStop chan struct{}
 	closed   sync.Once
 
-	traceMu    sync.Mutex
-	traces     map[traceKey]*traceEntry
-	traceClock uint64 // logical use counter driving the LRU policy
-
-	baselines *baselineMemo
-	stats     sessionStats
+	// cacheMu guards the cross-cell cache (cache.go): the entries by
+	// trace key (nil after Close), the idle ones least recently used
+	// first, and the store handle.
+	cacheMu sync.Mutex
+	cache   map[traceKey]*cacheEntry
+	idle    []traceKey
+	stats   sessionStats
 
 	// store is the shared on-disk trace store (Options.TraceDir), opened
 	// lazily on the first cache miss and closed with the session. nil
@@ -65,11 +66,10 @@ type Session struct {
 // starts lazily on first use; Close releases it.
 func NewSession(o Options) *Session {
 	return &Session{
-		opts:      o,
-		tasks:     make(chan func(*core.SystemCache)),
-		poolStop:  make(chan struct{}),
-		traces:    make(map[traceKey]*traceEntry),
-		baselines: newBaselineMemo(o.workers()),
+		opts:     o,
+		tasks:    make(chan func(*core.SystemCache)),
+		poolStop: make(chan struct{}),
+		cache:    make(map[traceKey]*cacheEntry),
 	}
 }
 
@@ -77,11 +77,12 @@ func NewSession(o Options) *Session {
 func (s *Session) Options() Options { return s.opts }
 
 // Close stops the worker pool, closes the checkpoint sink, drops the
-// retained ungated baselines and releases the on-disk trace store, if
-// any. Close waits for no in-flight work; finish or cancel streams first.
-// Store-loaded traces alias mmap'd regions Close unmaps, so the
-// in-process trace cache is purged with it — a task that straggles in
-// after Close regenerates inline instead of touching unmapped memory.
+// cache with its traces and baselines, and releases the on-disk trace
+// store, if any. Close waits for no in-flight work; finish or cancel
+// streams first. Store-loaded traces alias mmap'd regions Close unmaps,
+// so the cache is purged with it — a task that straggles in after Close
+// provisions its own trace and runs its own baseline instead, and keeps
+// neither.
 func (s *Session) Close() error {
 	var err error
 	s.closed.Do(func() {
@@ -89,11 +90,10 @@ func (s *Session) Close() error {
 		if s.ckpt != nil {
 			err = s.ckpt.Close()
 		}
-		s.traceMu.Lock()
-		s.traces = make(map[traceKey]*traceEntry)
+		s.cacheMu.Lock()
+		s.cache, s.idle = nil, nil
 		st := s.store
-		s.traceMu.Unlock()
-		s.baselines.purge()
+		s.cacheMu.Unlock()
 		if st != nil {
 			if cerr := st.Close(); cerr != nil && err == nil {
 				err = cerr
@@ -205,19 +205,19 @@ type CellResult struct {
 // The caller must drain the channel or cancel ctx; an abandoned,
 // uncancelled stream would hold pool workers forever.
 //
-// The call holds the shared-baseline key of each of its cells until that
-// cell finishes, so a baseline its later cells need is not evicted
+// The call holds the cache entry of each of its cells until that cell
+// finishes, so a trace or baseline its later cells need is not evicted
 // however far apart they sit.
 func (s *Session) StreamChan(ctx context.Context, cells []Cell) <-chan CellResult {
 	out := make(chan CellResult)
-	keys := s.holdBaselines(cells)
+	entries := s.holdEntries(cells)
 	go func() {
 		defer close(out)
 		var wg sync.WaitGroup
 		for pos, c := range cells {
 			if ctx.Err() != nil {
-				for _, k := range keys[pos:] {
-					s.baselines.release(k)
+				for _, e := range entries[pos:] {
+					s.release(e)
 				}
 				break
 			}
@@ -225,8 +225,8 @@ func (s *Session) StreamChan(ctx context.Context, cells []Cell) <-chan CellResul
 			wg.Add(1)
 			s.submit(func(sc *core.SystemCache) {
 				defer wg.Done()
-				res := s.runCell(ctx, pos, c, keys[pos], sc)
-				s.baselines.release(keys[pos])
+				res := s.runCell(ctx, pos, c, entries[pos], sc)
+				s.release(entries[pos])
 				s.stats.addSystems(sc)
 				select {
 				case out <- res:
@@ -307,10 +307,11 @@ func (s *Session) Run(ctx context.Context) (*Campaign, error) {
 }
 
 // runCell produces one cell's result: restored from the checkpoint when
-// present there, simulated (and recorded) otherwise. key is the cell's
-// shared-baseline key (nil runs its own baseline); sc is the calling
-// worker's System cache (nil selects fresh construction).
-func (s *Session) runCell(ctx context.Context, pos int, c Cell, key *baselineKey, sc *core.SystemCache) CellResult {
+// present there, simulated (and recorded) otherwise. e is the cell's
+// cache entry (nil provisions its own trace and runs its own baseline);
+// sc is the calling worker's System cache (nil selects fresh
+// construction).
+func (s *Session) runCell(ctx context.Context, pos int, c Cell, e *cacheEntry, sc *core.SystemCache) CellResult {
 	res := CellResult{Pos: pos, Cell: c}
 	if s.ckpt != nil {
 		if out, ok := s.ckpt.Lookup(c); ok {
@@ -320,13 +321,13 @@ func (s *Session) runCell(ctx context.Context, pos int, c Cell, key *baselineKey
 	}
 	rs, err := s.cellSpec(c)
 	if err == nil {
-		rs.Trace, err = s.trace(c)
+		rs.Trace, err = s.trace(c, e)
 	}
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	out, err := s.runPair(ctx, rs, key, sc)
+	out, err := s.runPair(ctx, rs, e, sc)
 	if err != nil {
 		res.Err = err
 		return res
@@ -343,7 +344,7 @@ func (s *Session) runCell(ctx context.Context, pos int, c Cell, key *baselineKey
 // cellSpec builds the core.RunSpec for one cell, all but its trace: the
 // machine-config mutation from the cell's interconnect shape and
 // variant, and the power model from the cell's technology point. It
-// provisions nothing, so the cell's shared-baseline key costs no trace.
+// provisions nothing.
 func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 	rs := core.RunSpec{App: c.App, Processors: c.Processors, Seed: c.Seed, W0: c.W0}
 	tech, err := energy.Resolve(c.Tech)
@@ -393,53 +394,6 @@ type traceKey struct {
 	seed       uint64
 }
 
-// traceEntry is a once-guarded cache slot, so concurrent cells needing
-// the same trace generate it exactly once and share the result. Traces
-// are read-only during simulation (RunPair already shares one trace
-// across both runs of a pair), so sharing across concurrent cells is
-// safe. lastUse and useCount (guarded by traceMu) drive the
-// reuse-count-aware LRU eviction policy.
-type traceEntry struct {
-	once sync.Once
-	tr   *workload.Trace
-	err  error
-
-	lastUse  uint64
-	useCount uint64
-}
-
-// maxCachedTraces bounds the session trace cache. Sweeps that profit
-// from the cache (Fig7's W0 axis, ablation variants, the paired-run
-// sharing inside a cell) need only a handful of workload keys live at
-// once; a long multi-seed campaign would otherwise accumulate every
-// seed's traces until Close. Above the bound the reuse-count-aware LRU
-// policy evicts the least valuable entry — regeneration is
-// deterministic, so eviction can never change results, only cost a
-// re-generation.
-const maxCachedTraces = 64
-
-// evictTrace drops the least valuable cache entry: among the entries with
-// the lowest reuse count, the least recently used one. Keying the victim
-// choice on reuse first keeps the hot keys of a Fig7 or ablation sweep —
-// one trace serving a whole W0/variant axis — resident through floods of
-// single-use keys (a multi-seed campaign's per-seed workloads), which
-// plain LRU would let push them out. Called with traceMu held. The choice
-// is deterministic: (useCount, lastUse) pairs are unique per entry
-// because lastUse is a strictly increasing logical clock.
-func (s *Session) evictTrace() {
-	var victim traceKey
-	var best *traceEntry
-	for k, e := range s.traces {
-		if best == nil || e.useCount < best.useCount ||
-			(e.useCount == best.useCount && e.lastUse < best.lastUse) {
-			victim, best = k, e
-		}
-	}
-	if best != nil {
-		delete(s.traces, victim)
-	}
-}
-
 // traceStore lazily opens the on-disk store named by Options.TraceDir.
 // Opening happens at most once per session; a failure to open (an
 // uncreatable directory) is sticky and fails the cells that needed it —
@@ -451,9 +405,9 @@ func (s *Session) traceStore() (*tracestore.Store, error) {
 			s.storeErr = err
 			return
 		}
-		s.traceMu.Lock()
+		s.cacheMu.Lock()
 		s.store = st
-		s.traceMu.Unlock()
+		s.cacheMu.Unlock()
 	})
 	return s.store, s.storeErr
 }
@@ -487,35 +441,6 @@ func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
 		Seed:       c.Seed,
 	}
 	return st.GetOrGenerate(key, generate)
-}
-
-// trace returns the cell's workload trace, generating it on first use and
-// serving every later request for the same (app, threads, scale,
-// contention, seed) from the cache.
-func (s *Session) trace(c Cell) (*workload.Trace, error) {
-	if s.opts.NoTraceCache {
-		return s.provisionTrace(c)
-	}
-	key := s.traceKey(c)
-	s.traceMu.Lock()
-	e, ok := s.traces[key]
-	if ok {
-		s.stats.traceHits.Add(1)
-	} else {
-		if len(s.traces) >= maxCachedTraces {
-			s.evictTrace()
-		}
-		e = &traceEntry{}
-		s.traces[key] = e
-	}
-	s.traceClock++
-	e.lastUse = s.traceClock
-	e.useCount++
-	s.traceMu.Unlock()
-	e.once.Do(func() {
-		e.tr, e.err = s.provisionTrace(c)
-	})
-	return e.tr, e.err
 }
 
 // traceKey is the key of c's trace in the session cache.

@@ -9,7 +9,7 @@ import (
 // sweep the ROADMAP called out: Fig7's W0 axis re-uses one workload per
 // (app, Np) point, so with the cache a 5-point W0 sweep provisions each
 // trace once instead of five times. The benchmark measures trace
-// provisioning only (no simulation, so the shared-baseline memo plays no
+// provisioning only (no simulation, so the shared baselines play no
 // part), on a fresh session per iteration — the within-one-sweep saving,
 // not cross-iteration amortization. "uncached" sets NoTraceCache.
 func BenchmarkCampaignTraceCache(b *testing.B) {
@@ -24,8 +24,9 @@ func BenchmarkCampaignTraceCache(b *testing.B) {
 			opt.NoTraceCache = mode.disable
 			for i := 0; i < b.N; i++ {
 				s := NewSession(opt)
-				for _, c := range cells {
-					if _, err := s.trace(c); err != nil {
+				entries := s.holdEntries(cells)
+				for i, c := range cells {
+					if _, err := s.trace(c, entries[i]); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/stamp"
+	"repro/internal/workload"
 )
 
 // TestStreamDeliversEveryCell checks the streaming form covers the cell
@@ -151,18 +152,18 @@ func TestTraceCacheSharesGeneration(t *testing.T) {
 	o := Options{Seed: 42, Scale: 0.05}
 	s := NewSession(o)
 	defer s.Close()
-	a, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
+	a, err := s.cachedTrace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 32, Seed: 42, Variant: VariantRenewalOff})
+	b, err := s.cachedTrace(Cell{App: "intruder", Processors: 4, W0: 32, Seed: 42, Variant: VariantRenewalOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("same workload key produced distinct traces across W0/variant")
 	}
-	c, err := s.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 43})
+	c, err := s.cachedTrace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestTraceCacheSharesGeneration(t *testing.T) {
 	o.NoTraceCache = true
 	s2 := NewSession(o)
 	defer s2.Close()
-	fresh, err := s2.trace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
+	fresh, err := s2.cachedTrace(Cell{App: "intruder", Processors: 4, W0: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,29 +496,34 @@ func TestTraceCacheBounded(t *testing.T) {
 	o := Options{Seed: 1, Scale: 0.02}
 	s := NewSession(o)
 	defer s.Close()
-	for seed := uint64(0); seed < maxCachedTraces+16; seed++ {
-		if _, err := s.trace(Cell{App: "intruder", Processors: 2, Seed: seed}); err != nil {
+	for seed := uint64(0); seed < retainedEntries+16; seed++ {
+		if _, err := s.cachedTrace(Cell{App: "intruder", Processors: 2, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.traceMu.Lock()
-	n := len(s.traces)
-	s.traceMu.Unlock()
-	if n > maxCachedTraces {
-		t.Fatalf("cache holds %d entries, cap is %d", n, maxCachedTraces)
+	if n := len(traceCacheKeys(s)); n > retainedEntries {
+		t.Fatalf("cache holds %d entries, cap is %d", n, retainedEntries)
 	}
 	// Any key — evicted or not — still resolves.
-	if _, err := s.trace(Cell{App: "intruder", Processors: 2, Seed: 0}); err != nil {
+	if _, err := s.cachedTrace(Cell{App: "intruder", Processors: 2, Seed: 0}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// traceCacheKeys returns the cached trace keys (test helper).
+// cachedTrace provisions c's trace through the session cache as a
+// one-cell call does: holding c's entry for the request.
+func (s *Session) cachedTrace(c Cell) (*workload.Trace, error) {
+	e := s.holdEntries([]Cell{c})[0]
+	defer s.release(e)
+	return s.trace(c, e)
+}
+
+// traceCacheKeys returns the trace keys the cache keeps entries for.
 func traceCacheKeys(s *Session) map[traceKey]bool {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	out := make(map[traceKey]bool, len(s.traces))
-	for k := range s.traces {
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	out := make(map[traceKey]bool, len(s.cache))
+	for k := range s.cache {
 		out[k] = true
 	}
 	return out
@@ -527,64 +533,23 @@ func traceCellForSeed(seed uint64) Cell {
 	return Cell{App: stamp.Intruder, Processors: 1, Seed: seed, Contention: ContentionBase}
 }
 
-// TestTraceCacheLRUKeepsHotKeys pins the reuse-count-aware LRU policy: a
-// key reused many times (a Fig7-style hot workload) must survive a flood
-// of single-use keys that overflows the cache, while the flood's own
-// oldest keys are the ones evicted.
-func TestTraceCacheLRUKeepsHotKeys(t *testing.T) {
-	s := NewSession(Options{Seed: 1, Scale: 0.01})
-	defer s.Close()
-
-	hot := traceCellForSeed(7)
-	if _, err := s.trace(hot); err != nil {
-		t.Fatal(err)
-	}
-	// Flood with 2x the cache bound in single-use keys, re-touching the
-	// hot key along the way.
-	for i := 0; i < 2*maxCachedTraces; i++ {
-		if _, err := s.trace(traceCellForSeed(1000 + uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if i%8 == 0 {
-			if _, err := s.trace(hot); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	keys := traceCacheKeys(s)
-	if len(keys) > maxCachedTraces {
-		t.Fatalf("cache holds %d entries, bound is %d", len(keys), maxCachedTraces)
-	}
-	hotKey := traceKey{app: hot.App, threads: 1, scale: 0.01, contention: ContentionBase, seed: hot.Seed}
-	if !keys[hotKey] {
-		t.Fatal("hot (heavily reused) key was evicted by single-use flood")
-	}
-	// The earliest single-use flood keys must be gone (they are the
-	// least-reused, least-recently-used entries).
-	early := traceKey{app: hot.App, threads: 1, scale: 0.01, contention: ContentionBase, seed: 1000}
-	if keys[early] {
-		t.Fatal("oldest single-use key survived eviction")
-	}
-}
-
-// TestTraceCacheLRUEvictsLeastRecentAmongEqualReuse: with equal reuse
-// counts the policy degrades to plain LRU.
+// TestTraceCacheLRUEvictsLeastRecentAmongEqualReuse: the cache is plain
+// LRU over the entries no call holds, however often each was reused.
 func TestTraceCacheLRUEvictsLeastRecentAmongEqualReuse(t *testing.T) {
 	s := NewSession(Options{Seed: 1, Scale: 0.01})
 	defer s.Close()
 	// Fill exactly to the bound with single-use keys.
-	for i := 0; i < maxCachedTraces; i++ {
-		if _, err := s.trace(traceCellForSeed(uint64(i))); err != nil {
+	for i := 0; i < retainedEntries; i++ {
+		if _, err := s.cachedTrace(traceCellForSeed(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Refresh key 0 (recency only; reuse count now 2 — strictly more
-	// than the others, but also most recent; victim must be key 1: the
-	// least recent among the minimal-reuse entries).
-	if _, err := s.trace(traceCellForSeed(0)); err != nil {
+	// Refresh key 0, making it the most recent; the victim of the next
+	// key must be key 1, now the least recent.
+	if _, err := s.cachedTrace(traceCellForSeed(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.trace(traceCellForSeed(9999)); err != nil {
+	if _, err := s.cachedTrace(traceCellForSeed(9999)); err != nil {
 		t.Fatal(err)
 	}
 	keys := traceCacheKeys(s)
@@ -605,16 +570,16 @@ func TestTraceCacheEvictionPreservesResults(t *testing.T) {
 	s := NewSession(Options{Seed: 1, Scale: 0.01})
 	defer s.Close()
 	c := traceCellForSeed(5)
-	before, err := s.trace(c)
+	before, err := s.cachedTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxCachedTraces+8; i++ {
-		if _, err := s.trace(traceCellForSeed(2000 + uint64(i))); err != nil {
+	for i := 0; i < retainedEntries+8; i++ {
+		if _, err := s.cachedTrace(traceCellForSeed(2000 + uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, err := s.trace(c) // regenerated after eviction
+	after, err := s.cachedTrace(c) // regenerated after eviction
 	if err != nil {
 		t.Fatal(err)
 	}

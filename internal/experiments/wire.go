@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/power"
@@ -85,6 +87,39 @@ func NewCellRecord(c Cell, out *core.Outcome) CellRecord {
 		Gated:      NewRunRecord(out.Gated),
 		Comparison: out.Comparison,
 	}
+}
+
+// Validate checks that the record's residency partitions each run's
+// cycles: each run has one residency row per processor of the cell, no
+// entry is negative, and every row sums to that run's Cycles. A restored
+// ledger is nothing but these totals, so a record from outside this
+// process — a journal line, a worker's return — must pass before it is
+// restored.
+func (r CellRecord) Validate() error {
+	for _, run := range []struct {
+		name string
+		rr   RunRecord
+	}{{"ungated", r.Ungated}, {"gated", r.Gated}} {
+		if len(run.rr.Residency) != r.Cell.Processors {
+			return fmt.Errorf("experiments: %s run has %d residency rows for %d processors",
+				run.name, len(run.rr.Residency), r.Cell.Processors)
+		}
+		for p, row := range run.rr.Residency {
+			left := run.rr.Cycles // subtracting, so no sum can overflow
+			for _, c := range row {
+				if c < 0 || c > left {
+					left = -1
+					break
+				}
+				left -= c
+			}
+			if left != 0 {
+				return fmt.Errorf("experiments: %s run processor %d residency %v does not partition %d cycles",
+					run.name, p, row, run.rr.Cycles)
+			}
+		}
+	}
+	return nil
 }
 
 // Outcome restores the paired-run outcome the record was captured from.

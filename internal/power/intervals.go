@@ -35,11 +35,11 @@ type IntervalModel struct {
 	Beta []float64
 }
 
-// Intervals decomposes a closed ledger into the paper's Xi/αi/βi interval
-// statistics over [0, l.End()).
-func Intervals(l *stats.Ledger) IntervalModel {
-	p := l.Procs()
-	end := l.End()
+// Intervals decomposes a run's per-processor state timelines, as
+// trace.Segments folds them, into the paper's Xi/αi/βi interval statistics
+// over [0, end).
+func Intervals(segs [][]stats.Segment, end sim.Time) IntervalModel {
+	p := len(segs)
 	im := IntervalModel{
 		P:     p,
 		N:     end,
@@ -50,8 +50,8 @@ func Intervals(l *stats.Ledger) IntervalModel {
 	// Gather every state-change instant of every processor.
 	cuts := make([]sim.Time, 0, 64)
 	cuts = append(cuts, 0, end)
-	for proc := 0; proc < p; proc++ {
-		for _, seg := range l.Segments(proc) {
+	for _, ps := range segs {
+		for _, seg := range ps {
 			cuts = append(cuts, seg.From, seg.To)
 		}
 	}
@@ -73,17 +73,16 @@ func Intervals(l *stats.Ledger) IntervalModel {
 		}
 		dt := t1 - t0
 		var nMiss, nCommit, nGated int
-		for proc := 0; proc < p; proc++ {
-			segs := l.Segments(proc)
-			for cursor[proc] < len(segs) && segs[cursor[proc]].To <= t0 {
+		for proc, ps := range segs {
+			for cursor[proc] < len(ps) && ps[cursor[proc]].To <= t0 {
 				cursor[proc]++
 			}
-			if cursor[proc] >= len(segs) {
+			if cursor[proc] >= len(ps) {
 				continue // past this processor's timeline: counts as run
 			}
-			seg := segs[cursor[proc]]
+			seg := ps[cursor[proc]]
 			if seg.From > t0 {
-				continue // gap (shouldn't happen in a closed ledger)
+				continue // gap (shouldn't happen in a folded timeline)
 			}
 			switch seg.State {
 			case stats.StateMiss:

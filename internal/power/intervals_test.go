@@ -12,14 +12,11 @@ import (
 func TestIntervalsSimpleDecomposition(t *testing.T) {
 	// proc 0 gated [10,30), proc 1 miss [20,40): overlap [20,30) has
 	// exactly 2 low-power processors.
-	l := stats.NewLedger(2)
-	l.Transition(0, stats.StateGated, 10)
-	l.Transition(0, stats.StateRun, 30)
-	l.Transition(1, stats.StateMiss, 20)
-	l.Transition(1, stats.StateRun, 40)
-	l.Close(50)
+	_, segs := replay(2, 50,
+		step{0, stats.StateGated, 10}, step{0, stats.StateRun, 30},
+		step{1, stats.StateMiss, 20}, step{1, stats.StateRun, 40})
 
-	im := Intervals(l)
+	im := Intervals(segs, 50)
 	if im.N != 50 || im.P != 2 {
 		t.Fatalf("N=%d P=%d", im.N, im.P)
 	}
@@ -42,10 +39,10 @@ func TestIntervalsSimpleDecomposition(t *testing.T) {
 }
 
 func TestGatedEnergyMatchesDirectIntegration(t *testing.T) {
-	l := ledgerFixture()
+	l, segs := ledgerFixture()
 	m := Default()
-	im := Intervals(l)
-	direct := m.Energy(l, 0, l.End())
+	im := Intervals(segs, l.End())
+	direct := m.Energy(l)
 	viaIntervals := im.GatedEnergy(m)
 	if !almost(direct, viaIntervals, 1e-6) {
 		t.Fatalf("direct %f vs eq(1) %f", direct, viaIntervals)
@@ -54,18 +51,13 @@ func TestGatedEnergyMatchesDirectIntegration(t *testing.T) {
 
 func TestUngatedEnergyMatchesDirectIntegration(t *testing.T) {
 	// Ledger with no gated time: eq (5) must equal direct integration.
-	l := stats.NewLedger(3)
-	l.Transition(0, stats.StateMiss, 10)
-	l.Transition(0, stats.StateRun, 25)
-	l.Transition(1, stats.StateCommit, 30)
-	l.Transition(1, stats.StateRun, 45)
-	l.Transition(2, stats.StateMiss, 5)
-	l.Transition(2, stats.StateCommit, 20)
-	l.Transition(2, stats.StateRun, 35)
-	l.Close(60)
+	l, segs := replay(3, 60,
+		step{0, stats.StateMiss, 10}, step{0, stats.StateRun, 25},
+		step{1, stats.StateCommit, 30}, step{1, stats.StateRun, 45},
+		step{2, stats.StateMiss, 5}, step{2, stats.StateCommit, 20}, step{2, stats.StateRun, 35})
 	m := Default()
-	direct := m.Energy(l, 0, l.End())
-	via := Intervals(l).UngatedEnergy(m)
+	direct := m.Energy(l)
+	via := Intervals(segs, l.End()).UngatedEnergy(m)
 	if !almost(direct, via, 1e-6) {
 		t.Fatalf("direct %f vs eq(5) %f", direct, via)
 	}
@@ -80,15 +72,15 @@ func TestQuickEquation1EqualsDirect(t *testing.T) {
 		procs := int(nProcsRaw%6) + 1
 		trans := int(nTransRaw % 60)
 		rng := sim.NewRNG(seed, 21)
-		l := stats.NewLedger(procs)
+		var steps []step
 		now := sim.Time(0)
 		for i := 0; i < trans; i++ {
 			now += sim.Time(rng.Intn(15))
-			l.Transition(rng.Intn(procs), stats.State(rng.Intn(int(stats.NumStates))), now)
+			steps = append(steps, step{rng.Intn(procs), stats.State(rng.Intn(int(stats.NumStates))), now})
 		}
-		l.Close(now + sim.Time(rng.Intn(20)+1))
-		direct := m.Energy(l, 0, l.End())
-		via := Intervals(l).GatedEnergy(m)
+		l, segs := replay(procs, now+sim.Time(rng.Intn(20)+1), steps...)
+		direct := m.Energy(l)
+		via := Intervals(segs, l.End()).GatedEnergy(m)
 		return math.Abs(direct-via) < 1e-6*(1+math.Abs(direct))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -100,14 +92,14 @@ func TestQuickEquation1EqualsDirect(t *testing.T) {
 func TestQuickIntervalsPartitionTime(t *testing.T) {
 	f := func(seed uint64, nTransRaw uint8) bool {
 		rng := sim.NewRNG(seed, 22)
-		l := stats.NewLedger(4)
+		var steps []step
 		now := sim.Time(0)
 		for i := 0; i < int(nTransRaw%40); i++ {
 			now += sim.Time(rng.Intn(11))
-			l.Transition(rng.Intn(4), stats.State(rng.Intn(int(stats.NumStates))), now)
+			steps = append(steps, step{rng.Intn(4), stats.State(rng.Intn(int(stats.NumStates))), now})
 		}
-		l.Close(now + 5)
-		im := Intervals(l)
+		_, segs := replay(4, now+5, steps...)
+		im := Intervals(segs, now+5)
 		var sum sim.Time
 		for _, x := range im.X {
 			sum += x

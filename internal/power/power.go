@@ -114,10 +114,10 @@ func (m Model) WithSRPG(keep float64) Model {
 	return m
 }
 
-// Energy integrates a closed residency ledger over [from, to) and returns
-// total energy in run-power-cycle units.
-func (m Model) Energy(l *stats.Ledger, from, to sim.Time) float64 {
-	tot := l.TotalResidency(from, to)
+// Energy prices a closed residency ledger: its whole-run residency
+// totals weighted by the Table I factors, in run-power-cycle units.
+func (m Model) Energy(l *stats.Ledger) float64 {
+	tot := l.TotalResidency()
 	e := 0.0
 	for s := 0; s < stats.NumStates; s++ {
 		e += float64(tot[s]) * m.Factor(stats.State(s))
@@ -125,37 +125,17 @@ func (m Model) Energy(l *stats.Ledger, from, to sim.Time) float64 {
 	return e
 }
 
-// EnergyByState returns the per-state energy contributions over [from, to)
-// in run-power-cycle units — the breakdown the CSV's per-state energy
-// columns carry. Each entry is tot[s]·Factor(s), so the slice sums to
-// Energy over the same window.
-func (m Model) EnergyByState(l *stats.Ledger, from, to sim.Time) [stats.NumStates]float64 {
-	tot := l.TotalResidency(from, to)
+// EnergyByState returns the per-state energy contributions of a closed
+// ledger in run-power-cycle units — the breakdown the CSV's per-state
+// energy columns carry. Each entry is tot[s]·Factor(s), so the array sums
+// to Energy.
+func (m Model) EnergyByState(l *stats.Ledger) [stats.NumStates]float64 {
+	tot := l.TotalResidency()
 	var out [stats.NumStates]float64
 	for s := 0; s < stats.NumStates; s++ {
 		out[s] = float64(tot[s]) * m.Factor(stats.State(s))
 	}
 	return out
-}
-
-// PerProcEnergy returns each processor's energy over [from, to).
-func (m Model) PerProcEnergy(l *stats.Ledger, from, to sim.Time) []float64 {
-	res := l.Residency(from, to)
-	out := make([]float64, len(res))
-	for p, r := range res {
-		for s := 0; s < stats.NumStates; s++ {
-			out[p] += float64(r[s]) * m.Factor(stats.State(s))
-		}
-	}
-	return out
-}
-
-// AveragePower returns energy divided by wall-clock cycles of the window.
-func (m Model) AveragePower(l *stats.Ledger, from, to sim.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	return m.Energy(l, from, to) / float64(to-from)
 }
 
 // Comparison holds the paper's summary metrics between an ungated and a
@@ -176,8 +156,8 @@ type Comparison struct {
 // the parallel sections [0, N1) and [0, N2).
 func Compare(m Model, ungated, gated *stats.Ledger) Comparison {
 	n1, n2 := ungated.End(), gated.End()
-	eug := m.Energy(ungated, 0, n1)
-	eg := m.Energy(gated, 0, n2)
+	eug := m.Energy(ungated)
+	eg := m.Energy(gated)
 	c := Comparison{
 		N1: n1, N2: n2,
 		Eug: eug, Eg: eg,

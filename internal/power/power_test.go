@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -96,51 +98,44 @@ func TestWithSRPGPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// ledgerFixture builds a 2-processor ledger:
+// step is one power-state transition of a hand-built run.
+type step struct {
+	p  int
+	s  stats.State
+	at sim.Time
+}
+
+// replay runs steps on procs processors up to end, recorded both ways: in
+// a residency ledger and as the state events trace.Segments folds into
+// the per-transition timeline.
+func replay(procs int, end sim.Time, steps ...step) (*stats.Ledger, [][]stats.Segment) {
+	l := stats.NewLedger(procs)
+	var events []trace.Event
+	for _, st := range steps {
+		l.Transition(st.p, st.s, st.at)
+		events = append(events, trace.Event{At: st.at, Kind: trace.EvState, Proc: st.p, State: st.s})
+	}
+	l.Close(end)
+	return l, trace.Segments(events, procs, end)
+}
+
+// ledgerFixture is a 2-processor run:
 //
 //	proc 0: run [0,40), miss [40,60), commit [60,70), run [70,100)
 //	proc 1: run [0,20), gated [20,80), run [80,100)
-func ledgerFixture() *stats.Ledger {
-	l := stats.NewLedger(2)
-	l.Transition(0, stats.StateMiss, 40)
-	l.Transition(0, stats.StateCommit, 60)
-	l.Transition(0, stats.StateRun, 70)
-	l.Transition(1, stats.StateGated, 20)
-	l.Transition(1, stats.StateRun, 80)
-	l.Close(100)
-	return l
+func ledgerFixture() (*stats.Ledger, [][]stats.Segment) {
+	return replay(2, 100,
+		step{0, stats.StateMiss, 40}, step{0, stats.StateCommit, 60}, step{0, stats.StateRun, 70},
+		step{1, stats.StateGated, 20}, step{1, stats.StateRun, 80})
 }
 
 func TestEnergyIntegration(t *testing.T) {
-	l := ledgerFixture()
+	l, _ := ledgerFixture()
 	m := Default()
 	want := (40+30)*1.0 + 20*0.32 + 10*0.44 + // proc 0
 		(20+20)*1.0 + 60*0.20 // proc 1
-	if got := m.Energy(l, 0, 100); !almost(got, want, 1e-9) {
+	if got := m.Energy(l); !almost(got, want, 1e-9) {
 		t.Fatalf("Energy = %f, want %f", got, want)
-	}
-}
-
-func TestPerProcEnergySumsToTotal(t *testing.T) {
-	l := ledgerFixture()
-	m := Default()
-	per := m.PerProcEnergy(l, 0, 100)
-	if len(per) != 2 {
-		t.Fatalf("per-proc length %d", len(per))
-	}
-	if !almost(per[0]+per[1], m.Energy(l, 0, 100), 1e-9) {
-		t.Fatal("per-proc energies do not sum to total")
-	}
-}
-
-func TestAveragePower(t *testing.T) {
-	l := ledgerFixture()
-	m := Default()
-	if got := m.AveragePower(l, 0, 100); !almost(got, m.Energy(l, 0, 100)/100, 1e-12) {
-		t.Fatalf("average power %f", got)
-	}
-	if m.AveragePower(l, 50, 50) != 0 {
-		t.Fatal("empty window average power not 0")
 	}
 }
 
@@ -179,7 +174,7 @@ func TestCompareMetrics(t *testing.T) {
 
 func TestCompareEquation7Identity(t *testing.T) {
 	// AveragePowerReduction = (Eug/Eg) * (N2/N1) must equal Pug/Pg.
-	ug := ledgerFixture()
+	ug, _ := ledgerFixture()
 	g := stats.NewLedger(2)
 	g.Transition(0, stats.StateGated, 10)
 	g.Transition(0, stats.StateRun, 50)

@@ -8,13 +8,17 @@ import (
 	"repro/internal/stats"
 )
 
-// Timeline renders a closed residency ledger as an ASCII Gantt chart: one
-// row per processor, one column per time bucket, the dominant state of
-// each bucket drawn as a glyph. It makes gating behaviour visible at a
-// glance — bursts of '.' (gated) appearing after conflicts, miss stalls as
-// 'm', commits as 'C'.
+// Timeline renders a run's per-processor state timelines as an ASCII
+// Gantt chart: one row per processor, one column per time bucket, the
+// dominant state of each bucket drawn as a glyph. It makes gating
+// behaviour visible at a glance — bursts of '.' (gated) appearing after
+// conflicts, miss stalls as 'm', commits as 'C'.
 type Timeline struct {
-	Ledger *stats.Ledger
+	// Segments holds each processor's timeline, as trace.Segments folds
+	// it from a run's recorded events.
+	Segments [][]stats.Segment
+	// End is the run's length: the timelines cover [0, End).
+	End sim.Time
 	// Width is the number of time buckets (default 100).
 	Width int
 	// From/To bound the rendered window; zero values mean the full run.
@@ -31,17 +35,16 @@ var stateGlyphs = [stats.NumStates]byte{
 
 // Render draws the chart.
 func (tl Timeline) Render() string {
-	l := tl.Ledger
-	if l == nil || !l.Closed() {
-		return "(timeline: no closed ledger)\n"
+	if len(tl.Segments) == 0 {
+		return "(timeline: no processors)\n"
 	}
 	width := tl.Width
 	if width <= 0 {
 		width = 100
 	}
 	from, to := tl.From, tl.To
-	if to == 0 || to > l.End() {
-		to = l.End()
+	if to == 0 || to > tl.End {
+		to = tl.End
 	}
 	if from >= to {
 		return "(timeline: empty window)\n"
@@ -49,7 +52,7 @@ func (tl Timeline) Render() string {
 	span := to - from
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline [%d, %d) — '#'=run 'm'=miss 'C'=commit '.'=gated\n", from, to)
-	for p := 0; p < l.Procs(); p++ {
+	for p, segs := range tl.Segments {
 		row := make([]byte, width)
 		for i := 0; i < width; i++ {
 			lo := from + sim.Time(int64(span)*int64(i)/int64(width))
@@ -57,18 +60,18 @@ func (tl Timeline) Render() string {
 			if hi <= lo {
 				hi = lo + 1
 			}
-			row[i] = stateGlyphs[dominantState(l, p, lo, hi)]
+			row[i] = stateGlyphs[dominantState(segs, lo, hi)]
 		}
 		fmt.Fprintf(&b, "p%-3d |%s|\n", p, row)
 	}
 	return b.String()
 }
 
-// dominantState returns the state processor p spent the most time in
-// within [lo, hi).
-func dominantState(l *stats.Ledger, p int, lo, hi sim.Time) stats.State {
+// dominantState returns the state a processor's timeline segs spends the
+// most time in within [lo, hi).
+func dominantState(segs []stats.Segment, lo, hi sim.Time) stats.State {
 	var acc [stats.NumStates]sim.Time
-	for _, seg := range l.Segments(p) {
+	for _, seg := range segs {
 		a, z := seg.From, seg.To
 		if a < lo {
 			a = lo

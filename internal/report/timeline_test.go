@@ -7,17 +7,19 @@ import (
 	"repro/internal/stats"
 )
 
-func timelineLedger() *stats.Ledger {
-	l := stats.NewLedger(2)
-	l.Transition(0, stats.StateMiss, 25)
-	l.Transition(0, stats.StateRun, 50)
-	l.Transition(1, stats.StateGated, 50)
-	l.Close(100)
-	return l
+// timelineFixture is a 2-processor run of 100 cycles: proc 0 misses over
+// [25,50), proc 1 is gated over [50,100).
+func timelineFixture() Timeline {
+	return Timeline{End: 100, Segments: [][]stats.Segment{
+		{{State: stats.StateRun, From: 0, To: 25}, {State: stats.StateMiss, From: 25, To: 50}, {State: stats.StateRun, From: 50, To: 100}},
+		{{State: stats.StateRun, From: 0, To: 50}, {State: stats.StateGated, From: 50, To: 100}},
+	}}
 }
 
 func TestTimelineRender(t *testing.T) {
-	out := Timeline{Ledger: timelineLedger(), Width: 20}.Render()
+	tl := timelineFixture()
+	tl.Width = 20
+	out := tl.Render()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 { // header + 2 procs
 		t.Fatalf("timeline lines:\n%s", out)
@@ -36,7 +38,9 @@ func TestTimelineRender(t *testing.T) {
 }
 
 func TestTimelineWindow(t *testing.T) {
-	out := Timeline{Ledger: timelineLedger(), Width: 10, From: 50, To: 100}.Render()
+	tl := timelineFixture()
+	tl.Width, tl.From, tl.To = 10, 50, 100
+	out := tl.Render()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	row1 := lines[2]
 	if strings.Contains(row1, "#") {
@@ -45,18 +49,17 @@ func TestTimelineWindow(t *testing.T) {
 }
 
 func TestTimelineDegenerateInputs(t *testing.T) {
-	if out := (Timeline{}).Render(); !strings.Contains(out, "no closed ledger") {
-		t.Fatalf("nil ledger output %q", out)
+	if out := (Timeline{}).Render(); !strings.Contains(out, "no processors") {
+		t.Fatalf("empty timeline output %q", out)
 	}
-	l := stats.NewLedger(1)
-	l.Close(10)
-	if out := (Timeline{Ledger: l, From: 5, To: 5}).Render(); !strings.Contains(out, "empty window") {
+	one := Timeline{Segments: make([][]stats.Segment, 1), End: 10, From: 5, To: 5}
+	if out := one.Render(); !strings.Contains(out, "empty window") {
 		t.Fatalf("empty window output %q", out)
 	}
 }
 
 func TestTimelineDefaultWidth(t *testing.T) {
-	out := Timeline{Ledger: timelineLedger()}.Render()
+	out := timelineFixture().Render()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	body := lines[1][strings.Index(lines[1], "|")+1 : strings.LastIndex(lines[1], "|")]
 	if len(body) != 100 {

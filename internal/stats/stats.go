@@ -1,12 +1,13 @@
-// Package stats records per-processor state residency over simulated time
+// Package stats totals per-processor state residency over simulated time
 // and aggregates protocol event counters. The residency ledger is the raw
 // material of the paper's energy model (§IV): every equation there is a
 // function of how long each processor spent running, stalled on a miss,
-// committing, or clock-gated.
+// committing, or clock-gated, so the ledger keeps exactly those totals.
 package stats
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -45,65 +46,39 @@ func (s State) String() string {
 	}
 }
 
-// Segment is one residency interval of one processor.
+// Segment is one residency interval of one processor: an entry of the
+// per-transition timeline trace.Segments folds from recorded state events.
 type Segment struct {
 	State    State
 	From, To sim.Time
 }
 
-// Ledger records the full state timeline of every processor in a run.
+// Ledger accumulates every processor's per-state residency over a run. It
+// keeps each processor's current state, the time it entered that state
+// and the per-state totals, so a closed ledger is the whole-run residency
+// the energy model prices. The per-transition timeline is not kept here;
+// a run records it on request as trace.EvState events.
 type Ledger struct {
-	procs    int
-	current  []State
-	since    []sim.Time
-	segments [][]Segment
-	closed   bool
-	endTime  sim.Time
+	current []State
+	since   []sim.Time
+	totals  [][NumStates]sim.Time
+	closed  bool
+	endTime sim.Time
 }
 
 // NewLedger creates a ledger for procs processors, all beginning in
 // StateRun at time 0.
 func NewLedger(procs int) *Ledger {
-	l := &Ledger{
-		procs:    procs,
-		current:  make([]State, procs),
-		since:    make([]sim.Time, procs),
-		segments: make([][]Segment, procs),
+	return &Ledger{
+		current: make([]State, procs),
+		since:   make([]sim.Time, procs),
+		totals:  make([][NumStates]sim.Time, procs),
 	}
-	return l
 }
 
-// NewLedgerHinted is NewLedger with per-processor segment-capacity hints,
-// typically the SegmentCounts of a previous run on the same cell shape:
-// pre-sizing the timelines moves the append-growth allocations off the
-// recording hot path. Hint entries beyond len(segCap) — or a nil segCap —
-// fall back to zero capacity. Hints affect only capacity, never contents.
-func NewLedgerHinted(procs int, segCap []int) *Ledger {
-	l := NewLedger(procs)
-	for p := 0; p < procs && p < len(segCap); p++ {
-		if segCap[p] > 0 {
-			l.segments[p] = make([]Segment, 0, segCap[p])
-		}
-	}
-	return l
-}
-
-// SegmentCounts returns the number of recorded segments per processor —
-// capacity hints for NewLedgerHinted when running another cell of similar
-// shape.
-func (l *Ledger) SegmentCounts() []int {
-	out := make([]int, l.procs)
-	for p := range out {
-		out[p] = len(l.segments[p])
-	}
-	return out
-}
-
-// Procs returns the processor count.
-func (l *Ledger) Procs() int { return l.procs }
-
-// Transition moves processor p into state s at time now. Zero-length
-// segments are dropped. Transitioning a closed ledger panics.
+// Transition moves processor p into state s at time now. A transition into
+// the current state is a no-op. Transitioning a closed ledger or going
+// backwards in time panics.
 func (l *Ledger) Transition(p int, s State, now sim.Time) {
 	if l.closed {
 		panic("stats: transition on closed ledger")
@@ -114,9 +89,7 @@ func (l *Ledger) Transition(p int, s State, now sim.Time) {
 	if s == l.current[p] {
 		return
 	}
-	if now > l.since[p] {
-		l.segments[p] = append(l.segments[p], Segment{State: l.current[p], From: l.since[p], To: now})
-	}
+	l.totals[p][l.current[p]] += now - l.since[p]
 	l.current[p] = s
 	l.since[p] = now
 }
@@ -124,64 +97,39 @@ func (l *Ledger) Transition(p int, s State, now sim.Time) {
 // CurrentState returns processor p's current state.
 func (l *Ledger) CurrentState(p int) State { return l.current[p] }
 
-// Close finalizes the ledger at time end, flushing the open segment of
-// every processor. After Close the ledger is immutable.
+// Close finalizes the ledger at time end, adding every processor's open
+// interval to its totals. After Close the ledger is immutable.
 func (l *Ledger) Close(end sim.Time) {
 	if l.closed {
 		return
 	}
-	for p := 0; p < l.procs; p++ {
+	for p := range l.totals {
 		if end > l.since[p] {
-			l.segments[p] = append(l.segments[p], Segment{State: l.current[p], From: l.since[p], To: end})
+			l.totals[p][l.current[p]] += end - l.since[p]
 		}
 	}
 	l.closed = true
 	l.endTime = end
 }
 
-// Closed reports whether Close has been called.
-func (l *Ledger) Closed() bool { return l.closed }
-
 // End returns the close time.
 func (l *Ledger) End() sim.Time { return l.endTime }
 
-// Segments returns processor p's timeline. Only valid after Close. The
-// returned slice must not be modified.
-func (l *Ledger) Segments(p int) []Segment {
+// ResidencyTotals returns each processor's per-state residency over the
+// whole run [0, End()) — the aggregate every energy computation reduces a
+// run to. Only valid after Close; the returned slice must not be
+// modified.
+func (l *Ledger) ResidencyTotals() [][NumStates]sim.Time {
 	if !l.closed {
-		panic("stats: Segments before Close")
+		panic("stats: ResidencyTotals before Close")
 	}
-	return l.segments[p]
+	return l.totals
 }
 
-// Residency returns, for each processor, the cycles spent in each state
-// within the window [from, to). Only valid after Close.
-func (l *Ledger) Residency(from, to sim.Time) [][NumStates]sim.Time {
-	if !l.closed {
-		panic("stats: Residency before Close")
-	}
-	out := make([][NumStates]sim.Time, l.procs)
-	for p := 0; p < l.procs; p++ {
-		for _, seg := range l.segments[p] {
-			lo, hi := seg.From, seg.To
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			if hi > lo {
-				out[p][seg.State] += hi - lo
-			}
-		}
-	}
-	return out
-}
-
-// TotalResidency sums Residency over processors.
-func (l *Ledger) TotalResidency(from, to sim.Time) [NumStates]sim.Time {
+// TotalResidency sums ResidencyTotals over processors.
+func (l *Ledger) TotalResidency() [NumStates]sim.Time {
 	var tot [NumStates]sim.Time
-	for _, r := range l.Residency(from, to) {
+	for _, r := range l.ResidencyTotals() {
 		for s := 0; s < NumStates; s++ {
 			tot[s] += r[s]
 		}
@@ -189,35 +137,11 @@ func (l *Ledger) TotalResidency(from, to sim.Time) [NumStates]sim.Time {
 	return tot
 }
 
-// ResidencyTotals returns each processor's per-state residency over the
-// full closed timeline [0, End()) — the aggregate every whole-run energy
-// computation reduces the ledger to. Only valid after Close.
-func (l *Ledger) ResidencyTotals() [][NumStates]sim.Time {
-	return l.Residency(0, l.endTime)
-}
-
 // RestoreLedger rebuilds a closed ledger from per-processor residency
-// totals and the close time, for replaying persisted results. The
-// synthetic timeline lays each state's total out as one contiguous
-// segment per processor, so whole-run aggregates (Residency and
-// TotalResidency over [0, End()), and with them every energy figure) are
-// reproduced exactly; the original interleaving is not, so windowed
-// queries over a restored ledger are meaningless.
+// totals and the close time, for replaying persisted results. The totals
+// are all a ledger keeps, so the restored ledger equals the original.
 func RestoreLedger(perProc [][NumStates]sim.Time, end sim.Time) *Ledger {
-	l := NewLedger(len(perProc))
-	for p, totals := range perProc {
-		at := sim.Time(0)
-		for s := 0; s < NumStates; s++ {
-			if totals[s] == 0 {
-				continue
-			}
-			l.segments[p] = append(l.segments[p], Segment{State: State(s), From: at, To: at + totals[s]})
-			at += totals[s]
-		}
-	}
-	l.closed = true
-	l.endTime = end
-	return l
+	return &Ledger{totals: slices.Clone(perProc), closed: true, endTime: end}
 }
 
 // Counters aggregates protocol events for one run.

@@ -14,7 +14,7 @@ func TestLedgerBasicResidency(t *testing.T) {
 	l.Transition(1, StateGated, 50)
 	l.Close(100)
 
-	res := l.Residency(0, 100)
+	res := l.ResidencyTotals()
 	// Proc 0: run [0,10), miss [10,30), run [30,100).
 	if res[0][StateRun] != 80 || res[0][StateMiss] != 20 {
 		t.Fatalf("proc 0 residency %+v", res[0])
@@ -25,24 +25,17 @@ func TestLedgerBasicResidency(t *testing.T) {
 	}
 }
 
-func TestLedgerWindowedResidency(t *testing.T) {
-	l := NewLedger(1)
-	l.Transition(0, StateCommit, 10)
-	l.Transition(0, StateRun, 20)
-	l.Close(40)
-	res := l.Residency(15, 25)
-	if res[0][StateCommit] != 5 || res[0][StateRun] != 5 {
-		t.Fatalf("windowed residency %+v", res[0])
-	}
-}
-
+// A transition into the current state neither moves the state's entry
+// time nor changes the totals: a later transition is measured from the
+// original entry, and going back to time 7 after the no-op at 9 is legal.
 func TestLedgerSameStateTransitionIsNoop(t *testing.T) {
 	l := NewLedger(1)
 	l.Transition(0, StateRun, 5)
 	l.Transition(0, StateRun, 9)
+	l.Transition(0, StateMiss, 7)
 	l.Close(10)
-	if n := len(l.Segments(0)); n != 1 {
-		t.Fatalf("%d segments, want 1 merged run segment", n)
+	if res := l.ResidencyTotals(); res[0][StateRun] != 7 || res[0][StateMiss] != 3 {
+		t.Fatalf("residency %+v", res[0])
 	}
 }
 
@@ -51,12 +44,7 @@ func TestLedgerZeroLengthSegmentDropped(t *testing.T) {
 	l.Transition(0, StateMiss, 5)
 	l.Transition(0, StateRun, 5) // zero-length miss
 	l.Close(10)
-	for _, seg := range l.Segments(0) {
-		if seg.From == seg.To {
-			t.Fatalf("zero-length segment survived: %+v", seg)
-		}
-	}
-	res := l.Residency(0, 10)
+	res := l.ResidencyTotals()
 	if res[0][StateMiss] != 0 || res[0][StateRun] != 10 {
 		t.Fatalf("residency %+v", res[0])
 	}
@@ -84,14 +72,14 @@ func TestLedgerTransitionAfterClosePanics(t *testing.T) {
 	l.Transition(0, StateMiss, 20)
 }
 
-func TestLedgerSegmentsBeforeClosePanics(t *testing.T) {
+func TestLedgerTotalsBeforeClosePanics(t *testing.T) {
 	l := NewLedger(1)
 	defer func() {
 		if recover() == nil {
-			t.Error("Segments before Close did not panic")
+			t.Error("ResidencyTotals before Close did not panic")
 		}
 	}()
-	l.Segments(0)
+	l.ResidencyTotals()
 }
 
 func TestLedgerDoubleCloseIdempotent(t *testing.T) {
@@ -119,7 +107,7 @@ func TestTotalResidencySums(t *testing.T) {
 	l.Transition(1, StateMiss, 10)
 	l.Transition(2, StateCommit, 20)
 	l.Close(50)
-	tot := l.TotalResidency(0, 50)
+	tot := l.TotalResidency()
 	if tot[StateRun]+tot[StateMiss]+tot[StateCommit]+tot[StateGated] != 150 {
 		t.Fatalf("total residency %+v does not cover 3 procs x 50 cycles", tot)
 	}
@@ -152,8 +140,8 @@ func TestCountersAbortRate(t *testing.T) {
 	}
 }
 
-// Property: residencies always partition procs x window, regardless of
-// the transition pattern.
+// Property: residencies always partition procs x run length, regardless
+// of the transition pattern.
 func TestQuickResidencyPartition(t *testing.T) {
 	f := func(seed uint64, nProcsRaw, nTransRaw uint8) bool {
 		procs := int(nProcsRaw%4) + 1
@@ -167,7 +155,7 @@ func TestQuickResidencyPartition(t *testing.T) {
 		}
 		end := now + sim.Time(rng.Intn(10)+1)
 		l.Close(end)
-		tot := l.TotalResidency(0, end)
+		tot := l.TotalResidency()
 		var sum sim.Time
 		for s := 0; s < NumStates; s++ {
 			sum += tot[s]

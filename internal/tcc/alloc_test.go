@@ -1,6 +1,7 @@
 package tcc
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -19,12 +20,16 @@ import (
 //     essentially all construction (engine, directories, caches, line
 //     sets). Before the pools this path measured ~95k.
 //   - Reused: one System Reset in place between runs, the session pool
-//     workers' steady state. Measures ~45 allocations per pair (the
-//     ledger, the Result, and amortized slice growth).
+//     workers' steady state. Measures ~18 allocations and ~4 KiB per pair
+//     (the ledgers and the Results).
 //
 // Any return of per-event closure allocation costs thousands per run and
-// fails both bounds. BENCH_engine.json records the trajectory
-// (cell_32p_allocs, cell_32p_reuse_allocs) on every CI run.
+// fails both count bounds. A third bound caps the reused pair's bytes at
+// 64 KiB: the ledger keeps per-state totals only, and a per-transition
+// buffer — the ledger's old timeline cost ~1.1 MB here — would pass the
+// count bounds at one allocation per processor. BENCH_engine.json records
+// the trajectory (cell_32p_allocs, cell_32p_reuse_allocs,
+// cell_32p_reuse_bytes) on every CI run.
 func TestHotPathAllocsBounded(t *testing.T) {
 	spec := stamp.MustSpec(stamp.Intruder)
 	spec.TotalTxs /= 8
@@ -77,4 +82,22 @@ func TestHotPathAllocsBounded(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, reused); avg > reuseBound {
 		t.Errorf("reused paired 8p run allocates %.0f times, bound %d — is Reset rebuilding state a reused System should keep?", avg, reuseBound)
 	}
+	const reuseBytesBound = 64 << 10
+	if b := bytesPerRun(5, reused); b > reuseBytesBound {
+		t.Errorf("reused paired 8p run allocates %d bytes, bound %d — is a run keeping a per-transition record?", b, reuseBytesBound)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -404,10 +404,15 @@ func (p *Processor) Stats() ProcStats { return p.stats }
 // CacheStats returns the L1 counters.
 func (p *Processor) CacheStats() cache.Stats { return p.l1.Stats() }
 
-// setState transitions the FSM and the power ledger together.
+// setState transitions the FSM and the power ledger together, and records
+// the power state entered when a recorder is attached.
 func (p *Processor) setState(s procState) {
 	p.state = s
-	p.sys.ledger.Transition(p.id, s.powerState(), p.sys.eng.Now())
+	now := p.sys.eng.Now()
+	p.sys.ledger.Transition(p.id, s.powerState(), now)
+	if p.sys.rec != nil {
+		p.sys.rec.Record(trace.Event{At: now, Kind: trace.EvState, Proc: p.id, State: s.powerState()})
+	}
 }
 
 // cancelPending cancels the outstanding local event, if any.

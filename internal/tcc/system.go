@@ -40,11 +40,6 @@ type System struct {
 	rec            *trace.Recorder
 	cancel         func() error
 
-	// segHints carries the previous run's per-processor ledger segment
-	// counts into the next Reset, pre-sizing the new ledger's timelines
-	// (capacity only — contents are unaffected).
-	segHints []int
-
 	// Reused grant-round scratch: candidate list and claimed-directory
 	// flags (with the claim list that un-sets them), cleared after every
 	// round.
@@ -162,7 +157,7 @@ func (s *System) Reset(cfg config.Config, trace *workload.Trace) error {
 		d.Reset(cfg.Gating, policy)
 	}
 	s.counters = stats.Counters{} // &s.counters held by the directories stays valid
-	s.ledger = stats.NewLedgerHinted(cfg.Machine.Processors, s.segHints)
+	s.ledger = stats.NewLedger(cfg.Machine.Processors)
 	for i, p := range s.procs {
 		p.reset(&trace.Threads[i])
 	}
@@ -197,8 +192,9 @@ func (s *System) dirNode(di int) int {
 // Vendor exposes the token vendor (for tests).
 func (s *System) Vendor() *tokens.Vendor { return s.vendor }
 
-// SetRecorder attaches a protocol event recorder to the whole machine.
-// Call before Run.
+// SetRecorder attaches a protocol event recorder to the whole machine,
+// processors' power-state transitions (trace.EvState) included. Call
+// before Run.
 func (s *System) SetRecorder(r *trace.Recorder) {
 	s.rec = r
 	for _, d := range s.dirs {
@@ -365,7 +361,6 @@ func (s *System) Run() (*Result, error) {
 			s.done, len(s.procs))
 	}
 	s.ledger.Close(s.endTime)
-	s.segHints = s.ledger.SegmentCounts()
 	res := &Result{
 		Cycles:       s.endTime,
 		Ledger:       s.ledger,

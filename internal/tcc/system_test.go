@@ -224,7 +224,7 @@ func TestLedgerPartitionsruntime(t *testing.T) {
 	}
 	tr, _ := spec.Generate(4, 7)
 	res := mustRun(t, config.Default(4).WithGating(0), tr)
-	tot := res.Ledger.TotalResidency(0, res.Cycles)
+	tot := res.Ledger.TotalResidency()
 	var sum sim.Time
 	for s := 0; s < stats.NumStates; s++ {
 		sum += tot[s]

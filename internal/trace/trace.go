@@ -1,8 +1,10 @@
 // Package trace records structured protocol events from a simulation run:
 // every commit, abort, gating, renewal and wake-up with its cycle stamp
-// and participants. The recorder is optional — runs pay nothing unless one
-// is attached — and exists for protocol debugging, for the event-log
-// output of cmd/tccsim, and for tests that assert on event ordering.
+// and participants, and every processor power-state transition (EvState).
+// The recorder is optional — runs pay nothing unless one is attached — and
+// exists for protocol debugging, for the event-log output of cmd/tccsim,
+// for tests that assert on event ordering, and for the per-processor state
+// timeline: Segments folds the EvState events into it.
 package trace
 
 import (
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Kind discriminates protocol events.
@@ -36,6 +39,8 @@ const (
 	EvSelfAbort
 	// EvInvalidate: a directory invalidated a sharer's line.
 	EvInvalidate
+	// EvState: a processor entered a new power state (Event.State).
+	EvState
 )
 
 func (k Kind) String() string {
@@ -58,6 +63,8 @@ func (k Kind) String() string {
 		return "self-abort"
 	case EvInvalidate:
 		return "invalidate"
+	case EvState:
+		return "state"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -65,10 +72,12 @@ func (k Kind) String() string {
 
 // Event is one recorded protocol event. Fields not meaningful for a kind
 // are zero: Other is the peer processor (aborter / committer), Dir the
-// directory involved, Line the cache line, TxPC the static transaction.
+// directory involved, Line the cache line, TxPC the static transaction,
+// State the power state an EvState enters.
 type Event struct {
 	At    sim.Time
 	Kind  Kind
+	State stats.State
 	Proc  int
 	Other int
 	Dir   int
@@ -89,6 +98,8 @@ func (e Event) String() string {
 		return fmt.Sprintf("%10d %-16s proc=%d dir=%d aborter=%d", e.At, e.Kind, e.Proc, e.Dir, e.Other)
 	case EvInvalidate:
 		return fmt.Sprintf("%10d %-16s proc=%d by=%d dir=%d line=%d", e.At, e.Kind, e.Proc, e.Other, e.Dir, e.Line)
+	case EvState:
+		return fmt.Sprintf("%10d %-16s proc=%d state=%s", e.At, e.Kind, e.Proc, e.State)
 	default:
 		return fmt.Sprintf("%10d %-16s proc=%d", e.At, e.Kind, e.Proc)
 	}
@@ -100,7 +111,6 @@ func (e Event) String() string {
 type Recorder struct {
 	events []Event
 	filter map[Kind]bool // nil = record all
-	limit  int           // 0 = unlimited
 }
 
 // NewRecorder returns an empty recorder.
@@ -115,21 +125,12 @@ func (r *Recorder) Filter(kinds ...Kind) *Recorder {
 	return r
 }
 
-// Limit caps the number of retained events (oldest kept).
-func (r *Recorder) Limit(n int) *Recorder {
-	r.limit = n
-	return r
-}
-
-// Record appends an event, honoring filter and limit. Nil-safe.
+// Record appends an event, honoring the filter. Nil-safe.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
 	if r.filter != nil && !r.filter[e.Kind] {
-		return
-	}
-	if r.limit > 0 && len(r.events) >= r.limit {
 		return
 	}
 	r.events = append(r.events, e)
@@ -189,4 +190,32 @@ func (r *Recorder) Dump(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// Segments folds the EvState events among events into each of procs
+// processors' residency timeline over [0, end), by the ledger's rules:
+// every processor starts in StateRun at time 0, a transition into the
+// current state is skipped, a zero-length segment is dropped, and the
+// open segment closes at end. Other kinds are ignored, so a recorder's
+// whole stream can be passed as is.
+func Segments(events []Event, procs int, end sim.Time) [][]stats.Segment {
+	segs := make([][]stats.Segment, procs)
+	cur := make([]stats.State, procs)
+	since := make([]sim.Time, procs)
+	add := func(p int, to sim.Time) {
+		if to > since[p] {
+			segs[p] = append(segs[p], stats.Segment{State: cur[p], From: since[p], To: to})
+		}
+	}
+	for _, e := range events {
+		if e.Kind != EvState || e.State == cur[e.Proc] {
+			continue
+		}
+		add(e.Proc, e.At)
+		cur[e.Proc], since[e.Proc] = e.State, e.At
+	}
+	for p := range segs {
+		add(p, end)
+	}
+	return segs
 }

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -49,19 +51,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	r := NewRecorder().Limit(2)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{At: sim.Time(i), Kind: EvCommit})
-	}
-	if r.Len() != 2 {
-		t.Fatalf("limit kept %d", r.Len())
-	}
-	if r.Events()[0].At != 0 || r.Events()[1].At != 1 {
-		t.Fatal("limit did not keep the oldest")
-	}
-}
-
 func TestEventStrings(t *testing.T) {
 	events := []Event{
 		{At: 1, Kind: EvTxBegin, Proc: 2, TxPC: 0x40},
@@ -73,6 +62,7 @@ func TestEventStrings(t *testing.T) {
 		{At: 7, Kind: EvUngate, Proc: 2, Dir: 0, Other: 1},
 		{At: 8, Kind: EvSelfAbort, Proc: 2, TxPC: 0x40},
 		{At: 9, Kind: EvInvalidate, Proc: 2, Other: 1, Dir: 0, Line: 9},
+		{At: 10, Kind: EvState, Proc: 2, State: stats.StateGated},
 	}
 	for _, e := range events {
 		s := e.String()
@@ -87,7 +77,7 @@ func TestEventStrings(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{EvTxBegin, EvCommit, EvAbort, EvValidationAbort,
-		EvGate, EvRenew, EvUngate, EvSelfAbort, EvInvalidate}
+		EvGate, EvRenew, EvUngate, EvSelfAbort, EvInvalidate, EvState}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
@@ -112,5 +102,32 @@ func TestDump(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("dump produced %d lines", len(lines))
+	}
+}
+
+// TestSegmentsFoldRules pins the fold's ledger rules: every processor
+// starts running at 0, a same-state transition is skipped, a zero-length
+// segment is dropped, other kinds are ignored, and the open segment
+// closes at end (a processor with no events runs throughout).
+func TestSegmentsFoldRules(t *testing.T) {
+	st := func(at sim.Time, p int, s stats.State) Event {
+		return Event{At: at, Kind: EvState, Proc: p, State: s}
+	}
+	events := []Event{
+		st(0, 0, stats.StateRun), // same state at 0: skipped
+		st(10, 0, stats.StateMiss),
+		{At: 12, Kind: EvCommit, Proc: 0},
+		st(15, 0, stats.StateMiss), // same state: skipped
+		st(20, 0, stats.StateCommit),
+		st(20, 0, stats.StateRun), // zero-length commit: dropped
+		st(30, 1, stats.StateGated),
+	}
+	want := [][]stats.Segment{
+		{{State: stats.StateRun, From: 0, To: 10}, {State: stats.StateMiss, From: 10, To: 20}, {State: stats.StateRun, From: 20, To: 40}},
+		{{State: stats.StateRun, From: 0, To: 30}, {State: stats.StateGated, From: 30, To: 40}},
+		{{State: stats.StateRun, From: 0, To: 40}},
+	}
+	if got := Segments(events, 3, 40); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/bus"
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // topologyPin is one shape's recorded outcome: its count of independent
@@ -82,6 +85,58 @@ func TestTopologyDoneCasesRun(t *testing.T) {
 	for _, topo := range MatrixTopologies() {
 		if !strings.Contains(buf.String(), ","+topo) {
 			t.Errorf("CSV lacks topology column value %q", topo)
+		}
+	}
+}
+
+// TestLedgerConservationPerShape checks the residency ledger against the
+// run itself, independently of any golden: one small intruder cell per
+// interconnect shape, ungated and gated, with the event recorder on. Each
+// processor's totals must partition the run's cycles, and folding the
+// recorded power-state events into segments must reduce to exactly the
+// ledger's totals.
+func TestLedgerConservationPerShape(t *testing.T) {
+	const procs = 16
+	tr, err := GenerateTraceScaled(Intruder, procs, 42, e2eScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []struct {
+		name     string
+		banks    int
+		topology string
+	}{{"bus", 0, ""}, {"banks=4", 4, ""}, {"xbar", 0, "xbar"}, {"mesh", 0, "mesh"}, {"ring", 0, "ring"}} {
+		for _, gated := range []bool{false, true} {
+			rec := NewEventRecorder()
+			res, err := RunSingleWithEvents(Experiment{
+				Trace: tr, Processors: procs, Seed: 42,
+				Configure: func(c *Config) {
+					c.Machine.Banks = shape.banks
+					c.Machine.Topology = shape.topology
+				},
+			}, gated, rec)
+			if err != nil {
+				t.Fatalf("%s gated=%v: %v", shape.name, gated, err)
+			}
+			totals := res.Ledger.ResidencyTotals()
+			if len(totals) != procs || res.Ledger.End() != res.Cycles {
+				t.Fatalf("%s gated=%v: %d residency rows ending at %d, want %d ending at %d",
+					shape.name, gated, len(totals), res.Ledger.End(), procs, res.Cycles)
+			}
+			for p, segs := range trace.Segments(rec.Events(), procs, res.Cycles) {
+				var folded [stats.NumStates]sim.Time
+				for _, seg := range segs {
+					folded[seg.State] += seg.To - seg.From
+				}
+				var sum sim.Time
+				for _, c := range totals[p] {
+					sum += c
+				}
+				if sum != res.Cycles || folded != totals[p] {
+					t.Errorf("%s gated=%v proc %d: ledger totals %v sum to %d, folded events give %v, run %d cycles",
+						shape.name, gated, p, totals[p], sum, folded, res.Cycles)
+				}
+			}
 		}
 	}
 }
