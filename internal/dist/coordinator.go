@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -293,6 +294,28 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// decodeBody decodes a request body into v. A body may be as long as
+// the longest journal line, so a return can carry any record a journal
+// holds. A longer body answers 413: unread if its Content-Length says
+// so, cut off at the bound if its length is unknown. Any other decode
+// failure answers 400. It reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := error(&http.MaxBytesError{Limit: experiments.MaxJournalLine})
+	if r.ContentLength <= experiments.MaxJournalLine {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, experiments.MaxJournalLine)).Decode(v)
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("bad %s request: %v", what, err), code)
+	return false
+}
+
 func (c *Coordinator) handleCampaign(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, CampaignInfo{
 		Protocol:    ProtocolVersion,
@@ -406,8 +429,7 @@ func (c *Coordinator) stealLocked(worker string, now time.Time, max int) ([]Leas
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad lease request: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, "lease", &req) {
 		return
 	}
 	max := req.Max
@@ -487,8 +509,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // still return its results — the per-cell dedup sorts it out.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad renew request: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, "renew", &req) {
 		return
 	}
 
@@ -516,8 +537,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 	var req ReturnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad return request: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, "return", &req) {
 		return
 	}
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -143,9 +142,9 @@ func (ck *Checkpoint) load(fingerprint string) error {
 			return err
 		}
 	}
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	first, rest, _ := bytes.Cut(raw, []byte("\n"))
 	var hdr checkpointHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+	if err := json.Unmarshal(first, &hdr); err != nil {
 		return fmt.Errorf("experiments: checkpoint header corrupt: %w", err)
 	}
 	if hdr.Version != checkpointVersion {
@@ -155,15 +154,25 @@ func (ck *Checkpoint) load(fingerprint string) error {
 		return fmt.Errorf("experiments: checkpoint belongs to campaign %s, this campaign is %s (delete the file or fix the options)",
 			hdr.Campaign, fingerprint)
 	}
-	for _, line := range lines[1:] {
-		var rec CellRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Validate() != nil {
-			// A corrupt interior line; skip it and let the cell re-run.
-			continue
+	for line := range bytes.Lines(rest) {
+		// A corrupt interior line is skipped, and its cell re-runs.
+		if key, rec, ok := journalRecord(bytes.TrimSuffix(line, []byte("\n"))); ok {
+			ck.done[key] = rec
 		}
-		ck.done[cellKey(rec.Cell)] = rec
 	}
 	return nil
+}
+
+// journalRecord decodes one record line of a journal and returns the
+// record with its cell key. ok is false for a line that does not decode
+// or whose record fails Validate — a corrupt interior line or a torn
+// tail. The journal reader and checkpoint replay both skip such lines
+// through this one function, so they tolerate exactly the same input.
+func journalRecord(line []byte) (key string, rec CellRecord, ok bool) {
+	if rec.UnmarshalJSON(line) != nil || rec.Validate() != nil {
+		return "", CellRecord{}, false
+	}
+	return cellKey(rec.Cell), rec, true
 }
 
 // Lookup returns the recorded outcome for an identical cell, if present.

@@ -25,17 +25,22 @@ import (
 // pinned by the done-set golden in reprice_test.go — at checkpoint-
 // arithmetic speed: a whole fleet journal re-prices in milliseconds.
 
+// MaxJournalLine bounds one journal line, and so one record: ReadJournal
+// fails on a longer line, and the distributed coordinator refuses a
+// longer request body. A ring:128 record takes about 80 KB.
+const MaxJournalLine = 1 << 26
+
 // ReadJournal parses a checkpoint/fleet journal stream: the header line
 // is validated for version (the campaign fingerprint is deliberately
 // ignored — re-pricing reads any campaign's journal), corrupt interior
 // lines, records failing CellRecord.Validate and a torn final line are
-// skipped exactly as a checkpoint resume would drop them, records are
-// deduplicated by cell key (last record wins, matching checkpoint
-// replay), and the surviving records are returned sorted by cell index —
-// the campaign's canonical order.
+// skipped exactly as a checkpoint resume would drop them (both decode
+// lines with journalRecord), records are deduplicated by cell key (last
+// record wins, matching checkpoint replay), and the surviving records
+// are returned sorted by cell index — the campaign's canonical order.
 func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	sc.Buffer(make([]byte, 0, 1<<16), MaxJournalLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: journal read: %w", err)
@@ -52,16 +57,15 @@ func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	byKey := make(map[string]int)
 	var recs []CellRecord
 	for sc.Scan() {
-		var rec CellRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Validate() != nil {
-			// A corrupt or torn line; skip it like checkpoint replay does.
+		key, rec, ok := journalRecord(sc.Bytes())
+		if !ok {
 			continue
 		}
-		if i, ok := byKey[rec.Cell.Key()]; ok {
+		if i, dup := byKey[key]; dup {
 			recs[i] = rec
 			continue
 		}
-		byKey[rec.Cell.Key()] = len(recs)
+		byKey[key] = len(recs)
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
