@@ -30,10 +30,10 @@
 // # Sessions
 //
 // Every sweep above a single experiment runs on a Session: a long-lived
-// campaign engine that owns a worker pool, two cross-cell caches (one
-// for workload traces, one for ungated baselines that cells differing
-// only in W0 or technology point share) and an optional JSONL checkpoint
-// sink. A campaign is split into independent
+// campaign engine that owns a worker pool, one cross-cell cache (per
+// workload trace, the trace and the ungated baselines that cells
+// differing only in W0 or technology point share) and an optional JSONL
+// checkpoint sink. A campaign is split into independent
 // run-cells (paired gated/ungated simulations); the session executes
 // them across its pool and either streams results as they complete or
 // merges them in canonical cell order:
@@ -65,7 +65,7 @@
 // multi-seed error bars and the ablation suite are all cell providers on
 // the same engine — Session.RunScenarios, Session.Fig7,
 // Session.MultiSeed, Session.Ablations — so they share the pool, the
-// caches and the checkpoint machinery.
+// cache and the checkpoint machinery.
 //
 // # Distributed campaigns
 //
@@ -452,8 +452,8 @@ type Outcome = core.Outcome
 func DefaultCampaignOptions() CampaignOptions { return experiments.DefaultOptions() }
 
 // Session is the campaign engine every sweep runs on: it owns a worker
-// pool, the trace and shared-baseline caches, and an optional JSONL
-// checkpoint sink.
+// pool, the cross-cell cache of traces and shared baselines, and an
+// optional JSONL checkpoint sink.
 // Create one with NewSession, run any number of sweeps on it (Run,
 // Stream, RunScenarios, Fig7, MultiSeed, Ablations), and Close it when
 // done. See the package documentation for the streaming and resume

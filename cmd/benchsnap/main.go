@@ -23,8 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stamp"
-	"repro/internal/tracestore"
-	"repro/internal/workload"
 )
 
 // snapshot is the BENCH_engine.json schema.
@@ -259,73 +257,19 @@ func main() {
 		m["reprice_cell_ns"] = float64(r.NsPerOp()) / cells
 	}
 
-	// Trace-store provisioning: the same trace generated from scratch
-	// (the cold path every process paid before the store), published and
-	// loaded back through a cold store, and served as a store hit (the
-	// mmap-aliasing load a warm fleet pays). trace_store_speedup is the
-	// generation/hit ratio — the per-process provisioning win the shared
-	// store buys on top of the in-process cache.
+	// Trace provisioning: generating one trace from scratch, the cost a
+	// session pays on every trace-cache miss.
 	{
 		spec := stamp.MustSpec(stamp.Intruder)
 		spec.TotalTxs /= 4
-		gen := func() (*workload.Trace, error) { return spec.Generate(32, 42) }
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := gen(); err != nil {
+				if _, err := spec.Generate(32, 42); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		m["trace_gen_ns"] = float64(r.NsPerOp())
-
-		dir, err := os.MkdirTemp("", "benchsnap-tracestore")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		key := tracestore.Key{App: "intruder", Threads: 32, Scale: 0.25, Seed: 42}
-		r = testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cold, err := os.MkdirTemp(dir, "cold")
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, err := tracestore.Open(cold, tracestore.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := st.GetOrGenerate(key, gen); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				st.Close()
-				os.RemoveAll(cold)
-				b.StartTimer()
-			}
-		})
-		m["trace_store_cold_ns"] = float64(r.NsPerOp())
-
-		warm, err := tracestore.Open(filepath.Join(dir, "warm"), tracestore.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := warm.GetOrGenerate(key, gen); err != nil {
-			fatal(err)
-		}
-		r = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := warm.Load(key); err != nil || !ok {
-					b.Fatalf("store hit failed: ok=%v err=%v", ok, err)
-				}
-			}
-		})
-		warm.Close()
-		m["trace_store_hit_ns"] = float64(r.NsPerOp())
-		m["trace_store_hit_allocs"] = float64(r.AllocsPerOp())
-		m["trace_store_speedup"] = m["trace_gen_ns"] / m["trace_store_hit_ns"]
 	}
 
 	snap := snapshot{

@@ -101,7 +101,6 @@ func main() {
 		tech       = flag.String("tech", "", "energy technology point pricing the campaign's cells (see -tech-list; default: the paper's Table I point); with -reprice, a comma-separated list re-prices the journal under each point; \"@file.json\" elements load user-defined points from a JSON file")
 		techList   = flag.Bool("tech-list", false, "list the registered energy technology points and their model derivations")
 		reprice    = flag.String("reprice", "", "re-price the cells of this checkpoint/fleet journal under -tech WITHOUT re-simulating (pure checkpoint arithmetic; combines with -detail/-summary/-csv)")
-		traceDir   = flag.String("trace-dir", "", "content-addressed on-disk trace store directory, shared across processes: traces are generated once machine-wide and mmap-loaded everywhere else (composable with -serve/-worker/-matrix; results are byte-identical either way)")
 		retBatch   = flag.Int("return-batch", 0, "with -worker: stream up to N finished cells back per return instead of holding the whole lease (0 = whole lease)")
 	)
 	flag.Parse()
@@ -156,7 +155,6 @@ func main() {
 		st, err := dist.Work(ctx, *worker, dist.WorkerOptions{
 			Workers:     *workers,
 			ReturnBatch: *retBatch,
-			TraceDir:    *traceDir,
 		})
 		if err != nil {
 			fatal(err)
@@ -170,7 +168,6 @@ func main() {
 	opts.Seed = *seed
 	opts.Scale = *scale
 	opts.Workers = *workers
-	opts.TraceDir = *traceDir
 	if *procs != "" {
 		list, err := parseProcs(*procs)
 		if err != nil {

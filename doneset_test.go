@@ -1,12 +1,12 @@
 // Done-set equivalence harness. The paper's method is a paired run on one
 // machine, and every extension of this simulator claims that machine's
-// results as its own baseline: System reuse, the on-disk trace store, the
-// banked bus, the degenerate point-to-point fabrics and journal
-// re-pricing. This harness pins each claim byte for byte. The whole E2E
-// done-set runs once as the reference campaign; every row re-runs it
-// under one variant, and the row's CSV must match the reference's in
-// every column except those naming the variant. A failure names the
-// row, the first diverging done-set row and its cell.
+// results as its own baseline: System reuse, the banked bus, the
+// degenerate point-to-point fabrics and journal re-pricing. This harness
+// pins each claim byte for byte. The whole E2E done-set runs once as the
+// reference campaign; every row re-runs it under one variant, and the
+// row's CSV must match the reference's in every column except those
+// naming the variant. A failure names the row, the first diverging
+// done-set row and its cell.
 package clockgate
 
 import (
@@ -64,7 +64,6 @@ func TestDoneSetEquivalence(t *testing.T) {
 	opts := DefaultCampaignOptions()
 	opts.Scale = e2eScale
 	opts.Workers = runtime.GOMAXPROCS(0)
-	storeDir := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 
 	// Only the reference campaign journals. Rows run on sessions without
@@ -88,24 +87,6 @@ func TestDoneSetEquivalence(t *testing.T) {
 			if refStats.SystemReuses == 0 || s.Stats().SystemReuses != 0 {
 				t.Errorf("System reuses: reference %d, reuse off %d; want some, then none",
 					refStats.SystemReuses, s.Stats().SystemReuses)
-			}
-		},
-	}, {
-		name: "cold store",
-		opts: func(o *CampaignOptions) { o.TraceDir = storeDir },
-		check: func(t *testing.T, s *Session) {
-			// Without published entries the warm row would silently
-			// exercise the generation path again.
-			if ents, _ := filepath.Glob(filepath.Join(storeDir, "*.cgt2")); len(ents) == 0 {
-				t.Fatal("cold store published no trace-store entries")
-			}
-		},
-	}, {
-		name: "warm store",
-		opts: func(o *CampaignOptions) { o.TraceDir = storeDir },
-		check: func(t *testing.T, s *Session) {
-			if n := s.Stats().TraceGenerations; n != 0 {
-				t.Errorf("warm store generated %d traces, want every trace loaded from the store", n)
 			}
 		},
 	}, {

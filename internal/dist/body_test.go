@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -152,6 +154,117 @@ func FuzzCoordinatorReturn(f *testing.F) {
 			}
 		default:
 			t.Fatalf("return got %d, want 200 or a 4xx", code)
+		}
+	})
+}
+
+// leasedCoordinator is a coordinator over testOptions' cells that has
+// granted worker "w" lease 1, so a renew request can reach a live lease.
+func leasedCoordinator(tb testing.TB) *Coordinator {
+	tb.Helper()
+	c := newReturnCoordinator(tb)
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/lease",
+		strings.NewReader(`{"worker":"w","max":1}`)))
+	var grant LeaseResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &grant); rec.Code != http.StatusOK || err != nil || grant.LeaseID != 1 {
+		tb.Fatalf("granting lease 1 failed: %d %s", rec.Code, rec.Body)
+	}
+	return c
+}
+
+// controlBody is a path's request whose worker name pads the body to
+// exactly size bytes.
+func controlBody(path string, size int) string {
+	head, tail := `{"worker":"`, `","max":1}`
+	if path == "/v1/renew" {
+		head, tail = `{"lease_id":1,"worker":"`, `"}`
+	}
+	return head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+}
+
+// TestCoordinatorBoundsLeaseRenewBody: a /v1/lease or /v1/renew body is a
+// worker name and an integer or two, bounded at maxControlBody bytes. A
+// body at the bound is served and records its worker; one byte over is
+// refused with 413 and changes nothing, whether its Content-Length
+// announces the size or the length is unknown.
+func TestCoordinatorBoundsLeaseRenewBody(t *testing.T) {
+	for _, endpoint := range []string{"lease", "renew"} {
+		path := "/v1/" + endpoint
+		for _, tc := range []struct {
+			name string
+			size int
+			code int
+		}{
+			{"at the bound", maxControlBody, http.StatusOK},
+			{"one byte over the bound", maxControlBody + 1, http.StatusRequestEntityTooLarge},
+		} {
+			for _, length := range []string{"known", "unknown"} {
+				t.Run(fmt.Sprintf("%s %s, length %s", endpoint, tc.name, length), func(t *testing.T) {
+					c := leasedCoordinator(t)
+					before, stats := statusSnapshot(c), c.Stats()
+					// A reader httptest cannot size, so ContentLength is
+					// only what the test sets.
+					body := io.MultiReader(strings.NewReader(controlBody(path, tc.size)))
+					req := httptest.NewRequest(http.MethodPost, path, body)
+					req.ContentLength = -1
+					if length == "known" {
+						req.ContentLength = int64(tc.size)
+					}
+					rec := httptest.NewRecorder()
+					c.Handler().ServeHTTP(rec, req)
+					if rec.Code != tc.code {
+						t.Fatalf("%d-byte body got %d, want %d", tc.size, rec.Code, tc.code)
+					}
+					after := statusSnapshot(c)
+					if tc.code == http.StatusOK {
+						if len(after.Workers) != len(before.Workers)+1 {
+							t.Fatalf("served request recorded %d workers, want %d", len(after.Workers), len(before.Workers)+1)
+						}
+						return
+					}
+					if !reflect.DeepEqual(after, before) || c.Stats() != stats {
+						t.Fatalf("refused request changed the coordinator:\nbefore %+v\nafter  %+v", before, after)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzCoordinatorLeaseRenew posts arbitrary bodies to /v1/lease or
+// /v1/renew on a coordinator holding one live lease. Every body must get
+// 200 or a 4xx, never a panic or a 5xx, and a refused request must leave
+// Status and Stats unchanged. The seeds are valid requests, a renew of
+// an unknown lease, malformed and mistyped JSON, and a body one byte
+// over the bound for each endpoint.
+func FuzzCoordinatorLeaseRenew(f *testing.F) {
+	for _, body := range []string{
+		`{"worker":"w2","max":2}`, `{"worker":"w2"}`, `{"lease_id":1,"worker":"w"}`,
+		`{"lease_id":9,"worker":"w"}`, "", "{}", "null", `{"worker":`, `{"max":"x"}`, `{"lease_id":-1}`,
+	} {
+		f.Add(false, []byte(body))
+		f.Add(true, []byte(body))
+	}
+	f.Add(false, []byte(controlBody("/v1/lease", maxControlBody+1)))
+	f.Add(true, []byte(controlBody("/v1/renew", maxControlBody+1)))
+	f.Fuzz(func(t *testing.T, renew bool, body []byte) {
+		path := "/v1/lease"
+		if renew {
+			path = "/v1/renew"
+		}
+		c := leasedCoordinator(t)
+		before, stats := statusSnapshot(c), c.Stats()
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		switch code := rec.Code; {
+		case code == http.StatusOK:
+		case code >= 400 && code < 500:
+			if !reflect.DeepEqual(statusSnapshot(c), before) || c.Stats() != stats {
+				t.Fatalf("%s refused with %d changed the coordinator:\nbefore %+v\nafter  %+v", path, code, before, statusSnapshot(c))
+			}
+		default:
+			t.Fatalf("%s got %d, want 200 or a 4xx", path, code)
 		}
 	})
 }

@@ -294,15 +294,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody decodes a request body into v. A body may be as long as
-// the longest journal line, so a return can carry any record a journal
-// holds. A longer body answers 413: unread if its Content-Length says
-// so, cut off at the bound if its length is unknown. Any other decode
-// failure answers 400. It reports whether v was decoded.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := error(&http.MaxBytesError{Limit: experiments.MaxJournalLine})
-	if r.ContentLength <= experiments.MaxJournalLine {
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, experiments.MaxJournalLine)).Decode(v)
+// maxControlBody bounds the /v1/lease and /v1/renew bodies: a worker
+// name and an integer or two. The name keys the per-worker table that
+// /v1/status and /metrics render on every scrape, so the bound also caps
+// what one request can add to every later scrape.
+const maxControlBody = 64 << 10
+
+// decodeBody decodes a request body of at most limit bytes into v. A
+// longer body answers 413: unread if its Content-Length says so, cut off
+// at the bound if its length is unknown. Any other decode failure
+// answers 400. It reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, limit int64, v any) bool {
+	err := error(&http.MaxBytesError{Limit: limit})
+	if r.ContentLength <= limit {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 	}
 	if err == nil {
 		return true
@@ -429,7 +434,7 @@ func (c *Coordinator) stealLocked(worker string, now time.Time, max int) ([]Leas
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, "lease", &req) {
+	if !decodeBody(w, r, "lease", maxControlBody, &req) {
 		return
 	}
 	max := req.Max
@@ -509,7 +514,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // still return its results — the per-cell dedup sorts it out.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if !decodeBody(w, r, "renew", &req) {
+	if !decodeBody(w, r, "renew", maxControlBody, &req) {
 		return
 	}
 
@@ -536,8 +541,10 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
+	// A return may be as long as the longest journal line, so it can
+	// carry any record a journal holds.
 	var req ReturnRequest
-	if !decodeBody(w, r, "return", &req) {
+	if !decodeBody(w, r, "return", experiments.MaxJournalLine, &req) {
 		return
 	}
 

@@ -58,6 +58,30 @@ func campaignCSV(t *testing.T, campaign *experiments.Campaign) string {
 	return buf.String()
 }
 
+// runLease plays a worker by hand: it executes one lease's cells on the
+// session pool and packages the results for the wire, as Work does when
+// it returns a whole lease in one post. Cell failures become per-cell
+// errors, not a worker failure: the coordinator decides what a failed
+// cell means for the campaign.
+func runLease(ctx context.Context, session *experiments.Session, leased []LeasedCell) []CellReturn {
+	cells := make([]experiments.Cell, len(leased))
+	for i, lc := range leased {
+		cells[i] = lc.Cell
+	}
+	results := make([]CellReturn, 0, len(leased))
+	for res := range session.StreamChan(ctx, cells) {
+		ret := CellReturn{Pos: leased[res.Pos].Pos}
+		switch {
+		case res.Err != nil:
+			ret.Err = res.Err.Error()
+		default:
+			ret.Record = experiments.NewCellRecord(res.Cell, res.Outcome)
+		}
+		results = append(results, ret)
+	}
+	return results
+}
+
 // startCoordinator serves the coordinator on an ephemeral loopback port
 // and returns its address plus a channel carrying Serve's result.
 type serveResult struct {
@@ -90,6 +114,32 @@ func waitServe(t *testing.T, ch <-chan serveResult) *experiments.Campaign {
 	case <-time.After(60 * time.Second):
 		t.Fatal("coordinator did not finish")
 		return nil
+	}
+}
+
+// TestCampaignInfoDecodesRetiredTraceDir: a coordinator built before the
+// on-disk trace store was retired still sends "TraceDir" in its options.
+// A worker must join it: the handshake decodes, and the options it
+// decodes fingerprint to the value the coordinator carries. The JSON is
+// that coordinator's /v1/campaign answer for testOptions with TraceDir
+// "/x".
+func TestCampaignInfoDecodesRetiredTraceDir(t *testing.T) {
+	const body = `{"protocol":1,"fingerprint":"75e95f2cd829a0db","options":{"Seed":42,"Scale":0.02,` +
+		`"Processors":[4,8],"Apps":["intruder","genome"],"W0":0,"Banks":0,"Topology":"","Tech":"",` +
+		`"Workers":2,"DeriveSeeds":false,"Shard":{"Index":0,"Count":0},"NoTraceCache":false,` +
+		`"NoSystemReuse":false,"TraceDir":"/x"},"cells":4}`
+	var info CampaignInfo
+	if err := json.Unmarshal([]byte(body), &info); err != nil {
+		t.Fatalf("decoding the handshake: %v", err)
+	}
+	if info.Protocol != ProtocolVersion {
+		t.Fatalf("protocol %d, want %d", info.Protocol, ProtocolVersion)
+	}
+	if got := info.Options.Fingerprint(); got != info.Fingerprint {
+		t.Fatalf("decoded options fingerprint to %s, the coordinator carries %s", got, info.Fingerprint)
+	}
+	if got, want := info.Options.Fingerprint(), testOptions().Fingerprint(); got != want {
+		t.Fatalf("decoded options fingerprint to %s, testOptions to %s", got, want)
 	}
 }
 

@@ -578,15 +578,12 @@ func TestFleetChaosSmoke(t *testing.T) {
 
 // TestFleetBatchedReturnsByteIdentity pins the worker-side result
 // batching contract: a fleet streaming results back one cell per
-// /v1/return (ReturnBatch=1, maximum partial-return traffic) while
-// sharing an on-disk trace store produces CSV byte-identical to a
-// single in-process session — and each partial return settles its cells
-// on the coordinator, so a settled count observed mid-campaign only
-// grows.
+// /v1/return (ReturnBatch=1, maximum partial-return traffic) produces
+// CSV byte-identical to a single in-process session, and the
+// coordinator merges every cell's return.
 func TestFleetBatchedReturnsByteIdentity(t *testing.T) {
 	opts := chaosOptions()
 	want := singleProcessCSV(t, opts)
-	opts.TraceDir = t.TempDir() // workers inherit via /v1/campaign
 	cells := opts.Cells()
 
 	coord, err := NewCoordinator(opts, cells, Config{

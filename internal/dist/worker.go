@@ -50,12 +50,6 @@ type WorkerOptions struct {
 	RetryBase time.Duration
 	// RetryMax caps the backoff delay. Default 5s.
 	RetryMax time.Duration
-	// TraceDir overrides the campaign's trace-store directory
-	// (experiments.Options.TraceDir) on this worker. Empty inherits the
-	// coordinator's setting — which is what makes a multi-process fleet
-	// on one box generate each trace once; point it elsewhere when the
-	// coordinator's path does not exist on this machine.
-	TraceDir string
 }
 
 func (o WorkerOptions) name() string {
@@ -176,9 +170,6 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 	// it would in the coordinator's own process; parallelism is local.
 	sopts := info.Options
 	sopts.Workers = o.workers()
-	if o.TraceDir != "" {
-		sopts.TraceDir = o.TraceDir
-	}
 	session := experiments.NewSession(sopts)
 	defer session.Close()
 
@@ -365,29 +356,6 @@ func startHeartbeat(ctx context.Context, client *http.Client, base, worker strin
 		}
 	}()
 	return hb
-}
-
-// runLease executes one lease's cells on the session pool and packages
-// the results for the wire. Cell failures become per-cell errors, not a
-// worker failure: the coordinator decides what a failed cell means for
-// the campaign.
-func runLease(ctx context.Context, session *experiments.Session, leased []LeasedCell) []CellReturn {
-	cells := make([]experiments.Cell, len(leased))
-	for i, lc := range leased {
-		cells[i] = lc.Cell
-	}
-	results := make([]CellReturn, 0, len(leased))
-	for res := range session.StreamChan(ctx, cells) {
-		ret := CellReturn{Pos: leased[res.Pos].Pos}
-		switch {
-		case res.Err != nil:
-			ret.Err = res.Err.Error()
-		default:
-			ret.Record = experiments.NewCellRecord(res.Cell, res.Outcome)
-		}
-		results = append(results, ret)
-	}
-	return results
 }
 
 // statusError is a non-200 coordinator response. The status code drives

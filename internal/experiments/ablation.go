@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/stamp"
@@ -36,16 +37,8 @@ func policyCells(o Options) []Cell {
 	np := maxProcessors(o)
 	cells := make([]Cell, len(ablationPolicies))
 	for i, pk := range ablationPolicies {
-		cells[i] = Cell{
-			Index:      i,
-			App:        stamp.Intruder,
-			Processors: np,
-			W0:         o.W0,
-			Contention: ContentionBase,
-			Banks:      o.Banks,
-			Seed:       o.Seed,
-			Variant:    PolicyVariant(pk),
-		}
+		cells[i] = o.cell(i, stamp.Intruder, np)
+		cells[i].Variant = PolicyVariant(pk)
 	}
 	return cells
 }
@@ -55,17 +48,14 @@ func policyCells(o Options) []Cell {
 // loop-repeated transactions).
 func renewalCells(o Options) []Cell {
 	np := maxProcessors(o)
-	return []Cell{
-		{Index: 0, App: stamp.Yada, Processors: np, W0: o.W0, Contention: ContentionBase, Banks: o.Banks, Seed: o.Seed},
-		{Index: 1, App: stamp.Yada, Processors: np, W0: o.W0, Contention: ContentionBase, Banks: o.Banks, Seed: o.Seed,
-			Variant: VariantRenewalOff},
-	}
+	on, off := o.cell(0, stamp.Yada, np), o.cell(1, stamp.Yada, np)
+	off.Variant = VariantRenewalOff
+	return []Cell{on, off}
 }
 
 // srpgCell is the single paired run the SRPG ablation re-prices.
 func srpgCell(o Options) Cell {
-	return Cell{App: stamp.Intruder, Processors: maxProcessors(o), W0: o.W0,
-		Contention: ContentionBase, Banks: o.Banks, Seed: o.Seed}
+	return o.cell(0, stamp.Intruder, maxProcessors(o))
 }
 
 func ablationRow(variant string, cmp power.Comparison, out *core.Outcome) AblationResult {
@@ -79,8 +69,7 @@ func ablationRow(variant string, cmp power.Comparison, out *core.Outcome) Ablati
 }
 
 // policyRows, renewalRows and srpgRows turn the respective cells'
-// outcomes into table rows; the standalone ablations and the combined
-// suite share them, so the two paths cannot drift.
+// outcomes into table rows.
 func policyRows(outs []*core.Outcome) []AblationResult {
 	rows := make([]AblationResult, len(outs))
 	for i, out := range outs {
@@ -97,51 +86,22 @@ func renewalRows(outs []*core.Outcome) []AblationResult {
 	return rows
 }
 
-func srpgRows(out *core.Outcome) []AblationResult {
+// srpgRows re-prices the SRPG cell c's paired run under state-retention
+// power gating at each retained-leakage fraction (paper §IV): the cell's
+// technology point, with the fraction in place of its own keep. The
+// re-pricing is pure arithmetic on the run's ledgers.
+func srpgRows(c Cell, out *core.Outcome) ([]AblationResult, error) {
+	tech, err := energy.Resolve(c.Tech)
+	if err != nil {
+		return nil, err
+	}
+	base := power.Derive(tech.Breakdown())
 	rows := make([]AblationResult, 0, len(srpgLeakageKeeps))
 	for _, keep := range srpgLeakageKeeps {
-		m := power.Default().WithSRPG(keep)
-		cmp := power.Compare(m, out.Ungated.Ledger, out.Gated.Ledger)
+		cmp := power.Compare(base.WithSRPG(keep), out.Ungated.Ledger, out.Gated.Ledger)
 		rows = append(rows, ablationRow(fmt.Sprintf("retain %.0f%% leakage", keep*100), cmp, out))
 	}
-	return rows
-}
-
-// AblationPolicies compares gating-window policies on the most contended
-// configuration (intruder at the largest core count). The paper's §VI
-// argues plain back-off policies are a poor fit for highly contentious
-// applications; this quantifies the claim on this simulator. The variants
-// run as one cell set on the session's worker pool and share one cached
-// trace.
-func (s *Session) AblationPolicies(ctx context.Context) ([]AblationResult, error) {
-	outs, err := s.RunCells(ctx, policyCells(s.opts))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: policy ablation: %w", err)
-	}
-	return policyRows(outs), nil
-}
-
-// AblationRenewal measures the renewal mechanism's contribution on the
-// workload the paper credits it for (yada: long, loop-repeated
-// transactions). Both variants run on the session's worker pool against
-// one cached trace.
-func (s *Session) AblationRenewal(ctx context.Context) ([]AblationResult, error) {
-	outs, err := s.RunCells(ctx, renewalCells(s.opts))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: renewal ablation: %w", err)
-	}
-	return renewalRows(outs), nil
-}
-
-// AblationSRPG re-prices one paired run under state-retention power gating
-// at several retained-leakage fractions (paper §IV). One cell runs on the
-// engine; the re-pricing is pure arithmetic on its ledgers.
-func (s *Session) AblationSRPG(ctx context.Context) ([]AblationResult, error) {
-	outs, err := s.RunCells(ctx, []Cell{srpgCell(s.opts)})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: SRPG ablation: %w", err)
-	}
-	return srpgRows(outs[0]), nil
+	return rows, nil
 }
 
 func maxProcessors(o Options) int {
@@ -170,10 +130,19 @@ func renderAblation(title string, rows []AblationResult) string {
 	return t.Render()
 }
 
-// Ablations runs the full ablation suite and renders the tables. All
-// three studies' cells execute as one combined set on the session's
-// worker pool — no per-run fan-out — and the intruder cells share one
-// cached trace.
+// Ablations runs the full ablation suite and renders the tables:
+//
+//   - gating-window policies on the most contended configuration
+//     (intruder at the largest core count). The paper's §VI argues plain
+//     back-off policies are a poor fit for highly contentious
+//     applications; this quantifies the claim on this simulator;
+//   - the renewal mechanism on the workload the paper credits it for
+//     (yada: long, loop-repeated transactions);
+//   - one intruder pair re-priced under state-retention power gating.
+//
+// Every cell carries the campaign's interconnect shape and technology
+// point. All three studies' cells execute as one combined set on the
+// session's worker pool, and the intruder cells share one cached trace.
 func (s *Session) Ablations(ctx context.Context) (string, error) {
 	pol := policyCells(s.opts)
 	ren := renewalCells(s.opts)
@@ -194,7 +163,10 @@ func (s *Session) Ablations(ctx context.Context) (string, error) {
 		policyRows(outs[:len(pol)])) + "\n"
 	out += renderAblation("Ablation: renewal mechanism (yada, max cores)",
 		renewalRows(outs[len(pol):len(pol)+len(ren)])) + "\n"
-	out += renderAblation("Ablation: state-retention power gating (intruder, max cores)",
-		srpgRows(outs[len(pol)+len(ren)]))
+	srpgOut, err := srpgRows(srpg, outs[len(pol)+len(ren)])
+	if err != nil {
+		return "", fmt.Errorf("experiments: ablations: %w", err)
+	}
+	out += renderAblation("Ablation: state-retention power gating (intruder, max cores)", srpgOut)
 	return out, nil
 }

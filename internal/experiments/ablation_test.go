@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/stamp"
 )
 
@@ -13,11 +14,19 @@ func tinyOptions() Options {
 	return Options{Seed: 42, Scale: 0.05, Processors: []int{4}}
 }
 
-func TestAblationPolicies(t *testing.T) {
-	rows, err := newSession(t, tinyOptions()).AblationPolicies(context.Background())
+// runSweep runs cells on a fresh session over o.
+func runSweep(t *testing.T, o Options, cells []Cell) []*core.Outcome {
+	t.Helper()
+	outs, err := newSession(t, o).RunCells(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return outs
+}
+
+func TestAblationPolicies(t *testing.T) {
+	o := tinyOptions()
+	rows := policyRows(runSweep(t, o, policyCells(o)))
 	if len(rows) != 4 {
 		t.Fatalf("%d policy rows", len(rows))
 	}
@@ -32,10 +41,8 @@ func TestAblationPolicies(t *testing.T) {
 }
 
 func TestAblationRenewal(t *testing.T) {
-	rows, err := newSession(t, tinyOptions()).AblationRenewal(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := tinyOptions()
+	rows := renewalRows(runSweep(t, o, renewalCells(o)))
 	if len(rows) != 2 {
 		t.Fatalf("%d renewal rows", len(rows))
 	}
@@ -48,7 +55,9 @@ func TestAblationRenewal(t *testing.T) {
 }
 
 func TestAblationSRPG(t *testing.T) {
-	rows, err := newSession(t, tinyOptions()).AblationSRPG(context.Background())
+	o := tinyOptions()
+	c := srpgCell(o)
+	rows, err := srpgRows(c, runSweep(t, o, []Cell{c})[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +84,33 @@ func TestAblationsRender(t *testing.T) {
 		"state-retention", "gating-aware", "exponential"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablations output missing %q", want)
+		}
+	}
+}
+
+// TestSweepCellsCarryCampaignAxes: every sweep builds its cells from the
+// campaign options, so every cell must carry the options' interconnect
+// shape and technology point. A cell that dropped one would silently run
+// the paper's bus or price under Table I.
+func TestSweepCellsCarryCampaignAxes(t *testing.T) {
+	for _, o := range []Options{
+		{Seed: 42, Processors: []int{4, 8}, Banks: 4, Tech: "t45"},
+		{Seed: 42, Processors: []int{4, 8}, Topology: "ring", Tech: "t32"},
+	} {
+		sweeps := map[string][]Cell{
+			"campaign": o.Cells(),
+			"fig7":     fig7Cells(o),
+			"policy":   policyCells(o),
+			"renewal":  renewalCells(o),
+			"srpg":     {srpgCell(o)},
+		}
+		for name, cells := range sweeps {
+			for _, c := range cells {
+				if c.Banks != o.Banks || c.Topology != o.Topology || c.Tech != o.Tech {
+					t.Errorf("%s cell %s has banks=%d topology=%q tech=%q, options say banks=%d topology=%q tech=%q",
+						name, c.Label(), c.Banks, c.Topology, c.Tech, o.Banks, o.Topology, o.Tech)
+				}
+			}
 		}
 	}
 }

@@ -252,8 +252,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // TestSharedBaselineFailurePaths pins the shared baseline's failure
 // rules: a claim canceled mid-baseline is not shared and its waiting
 // sibling runs the baseline itself, a failing baseline is not cached, and
-// Close drops the cache with its baselines. CI runs it race-enabled ten
-// times over.
+// Close drops the cache with its baselines while a cell still holding an
+// entry keeps using it. CI runs it race-enabled ten times over.
 func TestSharedBaselineFailurePaths(t *testing.T) {
 	t.Run("claimer canceled mid-baseline", func(t *testing.T) {
 		o := Options{Seed: 42, Scale: 0.2, Workers: 2}
@@ -362,8 +362,23 @@ func TestSharedBaselineFailurePaths(t *testing.T) {
 		if _, baselines, has := cached(t, s, c); baselines != 1 || !has {
 			t.Fatalf("cache keeps %d baselines (the cell's present %v), want the cell's", baselines, has)
 		}
+		// A straggler holding the entry across Close keeps using it.
+		held := s.holdEntries([]Cell{c})[0]
+		before, err := s.trace(c, held)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
+		}
+		after, err := s.trace(c, held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.release(held)
+		if after != before || s.Stats().TraceGenerations != 1 {
+			t.Fatalf("a held entry after Close gave a new trace (same %v) after %d generations, want the held one after 1",
+				after == before, s.Stats().TraceGenerations)
 		}
 		if entries, baselines, _ := cached(t, s, c); entries != 0 || baselines != 0 {
 			t.Fatalf("after Close the cache keeps %d entries, %d baselines", entries, baselines)

@@ -102,13 +102,9 @@ func (s *Session) release(e *cacheEntry) {
 
 // trace returns the cell's workload trace: provisioned on first use and
 // shared by every later cell holding the same entry, or provisioned for
-// this cell alone when e is nil. A cell that straggles in after Close
-// provisions its own too: store-loaded traces alias regions Close unmaps.
+// this cell alone when e is nil.
 func (s *Session) trace(c Cell, e *cacheEntry) (*workload.Trace, error) {
-	s.cacheMu.Lock()
-	closed := s.cache == nil
-	s.cacheMu.Unlock()
-	if e == nil || closed {
+	if e == nil {
 		return s.provisionTrace(c)
 	}
 	hit := true
@@ -215,8 +211,7 @@ func (s *Session) runPair(ctx context.Context, rs core.RunSpec, e *cacheEntry, s
 // Stats is a snapshot of which caches served a session's cells, counted
 // over the session's life.
 type Stats struct {
-	// TraceGenerations counts the traces the session generated. A trace
-	// loaded from the on-disk store (Options.TraceDir) is not generated.
+	// TraceGenerations counts the traces the session generated.
 	TraceGenerations uint64
 	// TraceHits counts trace requests the in-process cache served.
 	TraceHits uint64

@@ -163,17 +163,7 @@ func (o Options) Cells() []Cell {
 	var cells []Cell
 	for _, app := range o.apps() {
 		for _, np := range o.processors() {
-			c := Cell{
-				Index:      len(cells),
-				App:        app,
-				Processors: np,
-				W0:         o.W0,
-				Contention: ContentionBase,
-				Banks:      o.Banks,
-				Topology:   o.Topology,
-				Tech:       o.Tech,
-				Seed:       o.Seed,
-			}
+			c := o.cell(len(cells), app, np)
 			if o.DeriveSeeds {
 				c.Seed = CellSeed(o.Seed, c.Index)
 			}
@@ -181,6 +171,24 @@ func (o Options) Cells() []Cell {
 		}
 	}
 	return cells
+}
+
+// cell is the campaign's cell for app on np processors: the options'
+// W0, interconnect shape (Banks, Topology), technology point and seed,
+// at base contention. Cells, Fig 7 and the ablations build every cell
+// here, so no sweep can drop a campaign axis.
+func (o Options) cell(index int, app stamp.App, np int) Cell {
+	return Cell{
+		Index:      index,
+		App:        app,
+		Processors: np,
+		W0:         o.W0,
+		Contention: ContentionBase,
+		Banks:      o.Banks,
+		Topology:   o.Topology,
+		Tech:       o.Tech,
+		Seed:       o.Seed,
+	}
 }
 
 // Shard selects one contiguous 1/Count slice of a campaign's cells, for

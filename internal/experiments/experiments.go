@@ -76,13 +76,6 @@ type Options struct {
 	// done-set equivalence harness); this exists for benchmarks and the
 	// differential tests themselves.
 	NoSystemReuse bool
-	// TraceDir, when non-empty, names an on-disk tracestore directory
-	// consulted below the in-process trace cache: a cache miss loads the
-	// trace from the store (mmap'd, zero-copy) before falling back to
-	// generation, and generated traces are published for other processes.
-	// Generation is deterministic, so the store — like the other cache
-	// knobs — cannot change results and is excluded from Fingerprint.
-	TraceDir string
 }
 
 // DefaultOptions returns the paper's campaign: genome/yada/intruder on
@@ -311,17 +304,9 @@ func fig7Cells(o Options) []Cell {
 	for _, np := range o.processors() {
 		for _, w0 := range Fig7W0Values {
 			for _, app := range o.apps() {
-				cells = append(cells, Cell{
-					Index:      len(cells),
-					App:        app,
-					Processors: np,
-					W0:         w0,
-					Contention: ContentionBase,
-					Banks:      o.Banks,
-					Topology:   o.Topology,
-					Tech:       o.Tech,
-					Seed:       o.Seed,
-				})
+				c := o.cell(len(cells), app, np)
+				c.W0 = w0
+				cells = append(cells, c)
 			}
 		}
 	}

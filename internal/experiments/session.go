@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/stamp"
-	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
 
@@ -45,19 +44,12 @@ type Session struct {
 	closed   sync.Once
 
 	// cacheMu guards the cross-cell cache (cache.go): the entries by
-	// trace key (nil after Close), the idle ones least recently used
-	// first, and the store handle.
+	// trace key (nil after Close) and the idle ones least recently used
+	// first.
 	cacheMu sync.Mutex
 	cache   map[traceKey]*cacheEntry
 	idle    []traceKey
 	stats   sessionStats
-
-	// store is the shared on-disk trace store (Options.TraceDir), opened
-	// lazily on the first cache miss and closed with the session. nil
-	// when TraceDir is empty or the store failed to open.
-	storeOnce sync.Once
-	store     *tracestore.Store
-	storeErr  error
 
 	ckpt *Checkpoint
 }
@@ -76,13 +68,12 @@ func NewSession(o Options) *Session {
 // Options returns the options the session was created with.
 func (s *Session) Options() Options { return s.opts }
 
-// Close stops the worker pool, closes the checkpoint sink, drops the
-// cache with its traces and baselines, and releases the on-disk trace
-// store, if any. Close waits for no in-flight work; finish or cancel
-// streams first. Store-loaded traces alias mmap'd regions Close unmaps,
-// so the cache is purged with it — a task that straggles in after Close
-// provisions its own trace and runs its own baseline instead, and keeps
-// neither.
+// Close stops the worker pool, closes the checkpoint sink and drops the
+// cache with its traces and baselines. Close waits for no in-flight
+// work; finish or cancel streams first. A cell that straggles in after
+// Close keeps using the cache entry it already holds; a cell submitted
+// after Close holds none, so it provisions its own trace and runs its
+// own baseline, and keeps neither.
 func (s *Session) Close() error {
 	var err error
 	s.closed.Do(func() {
@@ -92,13 +83,7 @@ func (s *Session) Close() error {
 		}
 		s.cacheMu.Lock()
 		s.cache, s.idle = nil, nil
-		st := s.store
 		s.cacheMu.Unlock()
-		if st != nil {
-			if cerr := st.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
 	})
 	return err
 }
@@ -394,53 +379,10 @@ type traceKey struct {
 	seed       uint64
 }
 
-// traceStore lazily opens the on-disk store named by Options.TraceDir.
-// Opening happens at most once per session; a failure to open (an
-// uncreatable directory) is sticky and fails the cells that needed it —
-// loudly, because the user asked for the store by flag.
-func (s *Session) traceStore() (*tracestore.Store, error) {
-	s.storeOnce.Do(func() {
-		st, err := tracestore.Open(s.opts.TraceDir, tracestore.Options{})
-		if err != nil {
-			s.storeErr = err
-			return
-		}
-		s.cacheMu.Lock()
-		s.store = st
-		s.cacheMu.Unlock()
-	})
-	return s.store, s.storeErr
-}
-
-// provisionTrace materializes one cell's trace the cheapest correct way:
-// from the on-disk store when Options.TraceDir names one (loading a
-// published entry, or generating-and-publishing under the store's
-// cross-process single-flight lock), by direct generation otherwise.
-// Generation is deterministic, so every path yields identical bytes.
+// provisionTrace generates one cell's trace and counts the generation.
 func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
-	generate := func() (*workload.Trace, error) {
-		s.stats.traceGenerations.Add(1)
-		return generateCellTrace(s.opts.Scale, c)
-	}
-	if s.opts.TraceDir == "" {
-		return generate()
-	}
-	st, err := s.traceStore()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: trace store: %w", err)
-	}
-	scale := s.opts.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	key := tracestore.Key{
-		App:        string(c.App),
-		Threads:    c.Processors,
-		Scale:      scale,
-		Contention: string(c.contentionOrBase()),
-		Seed:       c.Seed,
-	}
-	return st.GetOrGenerate(key, generate)
+	s.stats.traceGenerations.Add(1)
+	return generateCellTrace(s.opts.Scale, c)
 }
 
 // traceKey is the key of c's trace in the session cache.

@@ -466,6 +466,37 @@ func TestFingerprintNormalizesSentinels(t *testing.T) {
 	}
 }
 
+// TestOptionsFingerprintPinned pins the fingerprint bytes themselves:
+// checkpoints and /v1/campaign handshakes written by other builds carry
+// them, so editing Options must not move any value here. The second row
+// sets every field the fingerprint reads; it need not be a runnable
+// campaign (a fabric topology with banks fails validation).
+func TestOptionsFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"DefaultOptions", DefaultOptions(), "4556974aab3a5a06"},
+		{"every result-relevant field", Options{
+			Seed:        7,
+			Scale:       0.25,
+			Processors:  []int{8, 64},
+			Apps:        []stamp.App{stamp.Intruder, stamp.Vacation},
+			W0:          16,
+			Banks:       4,
+			Topology:    "mesh:2x4",
+			Tech:        "t45",
+			DeriveSeeds: true,
+			Shard:       Shard{Index: 1, Count: 3},
+		}, "55a20e66ea93c2ce"},
+	} {
+		if got := tc.o.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestCellKeyNormalizesSentinels checks cells that compute the same
 // paired run share a checkpoint record even when one spells the defaults
 // out or carries sweep-local metadata (Index, ID).

@@ -7,11 +7,9 @@ import (
 
 // ErrCorrupt is the sentinel wrapped by every trace-decode failure —
 // truncation, bad magic, checksum mismatches, length prefixes that
-// disagree with the input. The decoder consumes bytes another process
-// may have half-written or a disk may have mangled (the trace store loads
-// them concurrently with writers), so callers branch on
-// errors.Is(err, ErrCorrupt) to quarantine and regenerate instead of
-// failing the run.
+// disagree with the input. The decoder reads archive files a disk may
+// have mangled or a foreign tool may have written, so callers branch on
+// errors.Is(err, ErrCorrupt) to tell a bad file from other failures.
 var ErrCorrupt = errors.New("workload: corrupt trace")
 
 // corruptf wraps ErrCorrupt with context, analogous to fmt.Errorf.

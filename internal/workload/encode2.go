@@ -5,21 +5,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"unsafe"
 
 	"repro/internal/mem"
 )
 
-// CGTRACE2 is the binary trace format: the shared on-disk trace store
-// (internal/tracestore) keeps its entries in it, and cmd/tracegen
-// archives generated workloads in it so they replay bit-identically
-// across machines. It is a flat columnar layout: every column is one
-// contiguous, 8-aligned array, so a decoder handed the whole file — in
-// particular an mmap'd region — can materialize a read-only *Trace whose
-// op arrays are slices aliasing the file bytes, with zero per-load
-// copies of the op payload. Aliasing is safe because a Trace is
-// immutable once built (see the Trace doc and tcc's
-// TestRunLeavesTraceUntouched): the simulator only ever reads it.
+// CGTRACE2 is the binary trace format: cmd/tracegen archives generated
+// workloads in it so they replay bit-identically across machines. It is
+// a flat columnar layout: every column is one contiguous, 8-aligned
+// array, and every count the decoder needs sits in the fixed header, so
+// the file size follows from the header alone and is checked before
+// any array is read or allocated.
 //
 // Layout (all integers little-endian, every section padded to 8 bytes):
 //
@@ -36,14 +31,10 @@ import (
 //	        opCounts  [totalTxs]uint32, zero-padded to 8  thread-major
 //	        ops       [totalOps]opRec                     thread/tx-major
 //
-// opRec is 24 bytes, the in-memory layout of Op frozen into the format:
-// kind at offset 0, line (uint64 LE) at offset 8, cycles (int32 LE) at
-// offset 16; all other bytes zero. The encoder always writes records
-// field by field (so padding is deterministically zero and the same
-// trace always produces the same bytes); the decoder aliases the record
-// array as []Op directly when the host's Op layout and endianness match
-// the format — the common case on amd64/arm64 — and falls back to a
-// copying decode otherwise.
+// opRec is 24 bytes: kind at offset 0, line (uint64 LE) at offset 8,
+// cycles (int32 LE) at offset 16; all other bytes zero. The encoder
+// writes records field by field, so padding is deterministically zero
+// and the same trace always produces the same bytes.
 
 var traceMagic2 = [8]byte{'C', 'G', 'T', 'R', 'A', 'C', 'E', '2'}
 
@@ -55,30 +46,6 @@ const (
 	v2MaxTxs     = 1 << 40
 	v2MaxOps     = 1 << 40
 )
-
-// opsAliasable reports whether the host's in-memory Op layout coincides
-// with the on-disk opRec layout, which is what permits the zero-copy
-// aliasing decode. True on every little-endian platform where Op is
-// {kind@0, line@8, cycles@16, size 24} — i.e. everywhere Go currently
-// runs this code in practice; the copying fallback keeps exotic hosts
-// correct.
-var opsAliasable = func() bool {
-	if unsafe.Sizeof(Op{}) != v2OpRecSize {
-		return false
-	}
-	if unsafe.Offsetof(Op{}.Kind) != 0 ||
-		unsafe.Offsetof(Op{}.Line) != 8 ||
-		unsafe.Offsetof(Op{}.Cycles) != 16 {
-		return false
-	}
-	probe := uint16(1)
-	return *(*byte)(unsafe.Pointer(&probe)) == 1 // little-endian host
-}()
-
-// AliasingSupported reports whether DecodeV2Bytes runs the zero-copy
-// aliasing decode on this host. Alloc-bounded tests of the mmap path
-// skip when it is false.
-func AliasingSupported() bool { return opsAliasable }
 
 func pad8(n int) int { return (8 - n%8) % 8 }
 
@@ -171,14 +138,11 @@ func EncodeV2(w io.Writer, tr *Trace) error {
 	return err
 }
 
-// DecodeV2Bytes decodes a complete CGTRACE2 file image. When the host's
-// Op layout matches the on-disk record layout and data is 8-aligned, the
-// returned trace's Ops and InterTx slices alias data directly — zero
-// copies of the op payload — so the caller must keep data valid (and
-// unmodified) for the trace's whole lifetime; an mmap'd region stays
-// valid until munmap. Every structural defect — truncation, bad magic,
-// a checksum mismatch, counts that disagree with the file size — is
-// reported as an error wrapping ErrCorrupt.
+// DecodeV2Bytes decodes a complete CGTRACE2 file image. The returned
+// trace owns its memory: it copies everything it keeps, so the caller may
+// reuse or drop data afterwards. Every structural defect — truncation,
+// bad magic, a checksum mismatch, counts that disagree with the file
+// size — is reported as an error wrapping ErrCorrupt.
 func DecodeV2Bytes(data []byte) (*Trace, error) {
 	if len(data) < v2HeaderSize {
 		return nil, corruptf("decode2: %d-byte input shorter than the %d-byte header", len(data), v2HeaderSize)
@@ -238,8 +202,8 @@ func DecodeV2Bytes(data []byte) (*Trace, error) {
 		return nil, corruptf("decode2: per-tx op counts sum to %d, header says %d", sumOps, totalOps)
 	}
 	// The format is canonical — every padding byte is zero — so that one
-	// trace has exactly one file image (the content address depends on
-	// it, and an accepted input always re-encodes byte-identically).
+	// trace has exactly one file image and an accepted input always
+	// re-encodes byte-identically.
 	for _, span := range [][2]int{
 		{nameOff + nameLen, txCntOff},
 		{txCntOff + 4*nThreads, interOff},
@@ -253,40 +217,25 @@ func DecodeV2Bytes(data []byte) (*Trace, error) {
 		}
 	}
 	opBytes := data[opOff:end]
-	for o := 0; o < nOps; o++ {
+	ops := make([]Op, nOps)
+	for o := range ops {
 		rec := opBytes[o*v2OpRecSize : (o+1)*v2OpRecSize]
-		if k := OpKind(rec[0]); k != OpRead && k != OpWrite && k != OpCompute {
+		k := OpKind(rec[0])
+		if k != OpRead && k != OpWrite && k != OpCompute {
 			return nil, corruptf("decode2: bad op kind %d at op %d", k, o)
 		}
 		if le.Uint64(rec[0:8])>>8 != 0 || le.Uint32(rec[20:24]) != 0 {
 			return nil, corruptf("decode2: nonzero padding in op %d", o)
 		}
+		ops[o] = Op{
+			Kind:   k,
+			Line:   mem.LineAddr(le.Uint64(rec[8:])),
+			Cycles: int32(le.Uint32(rec[16:])),
+		}
 	}
-
-	alias := opsAliasable && (len(data) == 0 || uintptr(unsafe.Pointer(&data[0]))%8 == 0)
-	var ops []Op
-	var inter []int32
-	if alias {
-		if nOps > 0 {
-			ops = unsafe.Slice((*Op)(unsafe.Pointer(&opBytes[0])), nOps)
-		}
-		if nTxs > 0 {
-			inter = unsafe.Slice((*int32)(unsafe.Pointer(&data[interOff])), nTxs)
-		}
-	} else {
-		ops = make([]Op, nOps)
-		for o := range ops {
-			rec := opBytes[o*v2OpRecSize:]
-			ops[o] = Op{
-				Kind:   OpKind(rec[0]),
-				Line:   mem.LineAddr(le.Uint64(rec[8:])),
-				Cycles: int32(le.Uint32(rec[16:])),
-			}
-		}
-		inter = make([]int32, nTxs)
-		for x := range inter {
-			inter[x] = int32(le.Uint32(data[interOff+4*x:]))
-		}
+	inter := make([]int32, nTxs)
+	for x := range inter {
+		inter[x] = int32(le.Uint32(data[interOff+4*x:]))
 	}
 
 	tr := &Trace{

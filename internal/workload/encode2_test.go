@@ -134,14 +134,12 @@ func TestV2RejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestV2DecodeAllocBounded pins the zero-copy contract of the aliasing
-// decode: however many operations the trace holds, decoding allocates
-// only the fixed trace skeleton (trace, thread table, transaction
-// arena, name) — never a per-transaction or per-op copy of the payload.
+// TestV2DecodeAllocBounded pins the decode's allocation shape: however
+// many operations the trace holds, decoding allocates only the fixed
+// trace skeleton (trace, thread table, transaction arena, op and
+// inter-transaction arrays, name) — never one allocation per thread,
+// transaction or op.
 func TestV2DecodeAllocBounded(t *testing.T) {
-	if !opsAliasable {
-		t.Skip("host Op layout does not permit the aliasing decode")
-	}
 	s := validSpec()
 	s.TotalTxs = 4096
 	tr, err := s.Generate(4, 42)
@@ -157,10 +155,10 @@ func TestV2DecodeAllocBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 4 threads x 1024 txs: a copying decode pays thousands of
-	// allocations; the aliasing decode pays a handful.
+	// 4 threads x 1024 txs: a decode allocating per transaction pays
+	// thousands of allocations; the arena decode pays a handful.
 	if allocs > 16 {
-		t.Fatalf("aliasing decode allocated %v times per load, want <= 16", allocs)
+		t.Fatalf("decode allocated %v times per load, want <= 16", allocs)
 	}
 }
 

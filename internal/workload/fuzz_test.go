@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// FuzzTraceDecode throws arbitrary bytes at the trace decoder. The store
-// loads files another process may have half-written or a disk may have
-// mangled, so the decoder's contract under garbage is total: either a
+// FuzzTraceDecode throws arbitrary bytes at the trace decoder. It reads
+// archive files a disk may have mangled or a foreign tool may have
+// written, so the decoder's contract under garbage is total: either a
 // valid trace or an error wrapping ErrCorrupt — never a panic, and never
 // an allocation sized by an unbacked length prefix. Accepted inputs must
 // re-encode to the identical bytes.
