@@ -122,7 +122,7 @@ func TestNewInterconnectSelectsModel(t *testing.T) {
 				t.Errorf("banks=%d topology %q: a %d-port crossbar", tc.banks, tc.topology, ic.nodes)
 			}
 		case *network:
-			pumped := ic.links[0].pump != nil
+			pumped := ic.pumpFn != nil
 			if tc.topology == "xbar" || len(ic.links) != tc.links || pumped != tc.pumped {
 				t.Errorf("banks=%d topology %q: %d links (pumped %v), want %d (pumped %v)",
 					tc.banks, tc.topology, len(ic.links), pumped, tc.links, tc.pumped)

@@ -21,25 +21,24 @@
 //     the same pair of nodes. It has no grant round: each send reserves
 //     its slot directly.
 //
-// On a link, senders do not schedule per-request events: they enqueue on
-// the arbitration FIFO, and one grant-round event, scheduled for the
-// cycle the wires next free up, drains every queued requester in arrival
-// order, assigning each the next `occupancy`-cycle slot. The slot
-// arithmetic is identical to a per-request reservation model (each
-// message occupies the earliest free slot at or after its issue time), so
-// latency grows under contention exactly the way a real shared bus
-// serializes traffic, but arbitration costs one event per round, not per
-// message. Granted messages deliver in one of two ways. A lone link — the
-// bus, a one-bank bus, every link of a mesh or ring — delivers through a
-// single chained event walking its slot ends. The banks of a bus of two
-// or more share one delivery pump that serves same-cycle deliveries
-// across banks in a rotating round-robin.
+// On a link, senders do not schedule per-request events: they join the
+// link's queue, and one grant-round event, scheduled for the cycle the
+// wires next free up, grants every waiting requester in arrival order,
+// assigning each the next `occupancy`-cycle slot. The slot arithmetic is
+// identical to a per-request reservation model (each message occupies the
+// earliest free slot at or after its issue time), so latency grows under
+// contention exactly the way a real shared bus serializes traffic, but
+// arbitration costs one event per round, not per message. Granted messages
+// deliver in one of two ways. A lone link — the bus, a one-bank bus, every
+// link of a mesh or ring — delivers through a single chained event walking
+// its slot ends. The banks of a bus of two or more share one delivery pump
+// that serves same-cycle deliveries across banks in a rotating
+// round-robin.
 package bus
 
 import (
 	"fmt"
 
-	"repro/internal/fifo"
 	"repro/internal/sim"
 )
 
@@ -142,97 +141,130 @@ func fold(src, dst, n int) (s, d int) {
 	return src % n, dst % n
 }
 
-// request is one queued send awaiting a grant round.
-type request struct {
+// entry is one message on a link's queue: its delivery callback and a
+// time, which is the issue time until the message is granted and its slot
+// end after that.
+type entry struct {
 	deliver func()
-	issued  sim.Time
-}
-
-// delivery is one granted message awaiting its slot end.
-type delivery struct {
 	at      sim.Time
-	deliver func()
 }
 
-// link is one set of split-transaction wires: an arbitration FIFO, a slot
-// ledger, a grant round and its entry in the owner's per-link counters.
+// link is one set of split-transaction wires: a message queue, a slot
+// ledger and a grant round. The queue is one power-of-two ring in arrival
+// order. Its first granted entries hold slots, ending at strictly
+// increasing times; the rest await the grant round, which is pending
+// exactly when such entries exist. The wires are free from the end of
+// the last granted slot, or from now when no slot is granted: a slot
+// leaves the queue when it ends. A lone link delivers through a chain of
+// one event, which is armed exactly when a slot is granted. A link is 64
+// bytes, one cache line; what all links of a network share — the engine,
+// the occupancy, the counters — lives in the network.
 type link struct {
-	eng       *sim.Engine
-	occupancy sim.Time // cycles one message holds the wires
-	nextFree  sim.Time // first cycle the wires are free
-	stats     *Stats
-
-	reqs         fifo.Queue[request]  // awaiting arbitration
-	dels         fifo.Queue[delivery] // granted, awaiting delivery
-	roundPending bool
-	delPending   bool   // the delivery chain's event is armed
-	roundFn      func() // pre-bound grant round (no per-schedule closure)
-	deliverFn    func() // pre-bound delivery chain step
-	// pump is the network whose shared delivery pump serves this link (a
-	// bank of a bus of two or more); nil for a lone link, which delivers
-	// through its own chain.
-	pump *network
+	q         []entry // the ring; len is zero or a power of two
+	head      int32   // index of the oldest entry
+	n         int32   // queued entries
+	granted   int32   // entries at the head that hold a slot
+	id        int32   // index in the network's links and counters
+	net       *network
+	roundFn   func() // pre-bound grant round (no per-schedule closure)
+	deliverFn func() // pre-bound delivery chain step
 }
 
-// send enqueues a message and arms a grant round at the cycle the wires
-// next free up.
+// send enqueues a message and, unless one is pending, arms a grant round
+// at the cycle the wires next free up.
 func (l *link) send(deliver func()) {
-	l.stats.Messages++
-	l.reqs.Push(request{deliver: deliver, issued: l.eng.Now()})
-	if !l.roundPending {
-		l.roundPending = true
-		l.eng.Schedule(max(l.eng.Now(), l.nextFree), l.roundFn)
+	net := l.net
+	now := net.eng.Now()
+	net.stats[l.id].Messages++
+	if int(l.n) == len(l.q) {
+		l.grow()
 	}
+	idle := l.n == l.granted
+	l.q[(l.head+l.n)&int32(len(l.q)-1)] = entry{deliver: deliver, at: now}
+	l.n++
+	if idle {
+		net.eng.Schedule(l.freeAt(now), l.roundFn)
+	}
+}
+
+// freeAt returns the first cycle at or after now that the wires are free.
+func (l *link) freeAt(now sim.Time) sim.Time {
+	if l.granted == 0 {
+		return now
+	}
+	return max(now, l.q[(l.head+l.granted-1)&int32(len(l.q)-1)].at)
+}
+
+// grow doubles the queue's ring, keeping arrival order.
+func (l *link) grow() {
+	q := make([]entry, max(8, 2*len(l.q)))
+	for i := int32(0); i < l.n; i++ {
+		q[i] = l.q[(l.head+i)&int32(len(l.q)-1)]
+	}
+	l.q, l.head = q, 0
 }
 
 // grantRound is the batched arbitration: it fires when the wires free up
-// and drains the whole request queue in arrival order, assigning each
-// message the next occupancy-cycle slot.
+// and grants every waiting message in arrival order, assigning each the
+// next occupancy-cycle slot.
 func (l *link) grantRound() {
-	l.roundPending = false
-	l.stats.Rounds++
-	start := max(l.eng.Now(), l.nextFree)
-	for l.reqs.Len() > 0 {
-		r := l.reqs.Pop()
-		l.stats.WaitCycles += uint64(start - r.issued)
-		l.stats.BusyCycles += uint64(l.occupancy)
-		start += l.occupancy
-		l.dels.Push(delivery{at: start, deliver: r.deliver})
+	net := l.net
+	st := &net.stats[l.id]
+	st.Rounds++
+	occupancy := net.occupancy
+	start := l.freeAt(net.eng.Now())
+	mask := int32(len(l.q) - 1)
+	first := l.granted
+	for i := first; i < l.n; i++ {
+		e := &l.q[(l.head+i)&mask]
+		st.WaitCycles += uint64(start - e.at)
+		st.BusyCycles += uint64(occupancy)
+		start += occupancy
+		e.at = start
 	}
-	l.nextFree = start
-	if l.pump != nil {
-		l.pump.armPump()
-	} else {
+	l.granted = l.n
+	if net.pumpFn != nil {
+		net.armPump()
+	} else if first == 0 {
 		l.armChain()
 	}
 }
 
-// armChain arms the delivery chain for the head message, if idle. Slot
-// ends are strictly increasing, so one in-flight event suffices.
+// front returns the oldest message; the caller checks that one is granted.
+func (l *link) front() *entry { return &l.q[l.head] }
+
+// pop removes the oldest message, which must be granted, and returns its
+// callback.
+func (l *link) pop() func() {
+	e := &l.q[l.head]
+	d := e.deliver
+	e.deliver = nil // release the closure for GC
+	l.head = (l.head + 1) & int32(len(l.q)-1)
+	l.n--
+	l.granted--
+	return d
+}
+
+// armChain arms the delivery chain for the head message, which is
+// granted. Slot ends are strictly increasing, so one in-flight event
+// suffices.
 func (l *link) armChain() {
-	if l.delPending || l.dels.Len() == 0 {
-		return
-	}
-	l.delPending = true
-	l.eng.Schedule(l.dels.Front().at, l.deliverFn)
+	l.net.eng.Schedule(l.front().at, l.deliverFn)
 }
 
 // deliverHead completes the head message's crossing and re-arms the chain
 // for the next one. The chain is re-armed before the callback runs, so a
 // callback that sends new traffic observes a consistent queue.
 func (l *link) deliverHead() {
-	l.delPending = false
-	d := l.dels.Pop()
-	l.armChain()
-	d.deliver()
+	d := l.pop()
+	if l.granted > 0 {
+		l.armChain()
+	}
+	d()
 }
 
-// reset empties the queues and frees the wires, keeping the ring storage
-// behind the queues.
+// reset empties the queue, keeping the ring storage.
 func (l *link) reset() {
-	l.nextFree = 0
-	l.reqs.Clear()
-	l.dels.Clear()
-	l.roundPending = false
-	l.delPending = false
+	clear(l.q)
+	l.head, l.n, l.granted = 0, 0, 0
 }

@@ -19,8 +19,7 @@ func newBus(eng *sim.Engine, occupancy sim.Time) Interconnect {
 func queued(ic Interconnect) int {
 	k := 0
 	for i := range ic.(*network).links {
-		l := &ic.(*network).links[i]
-		k += l.reqs.Len() + l.dels.Len()
+		k += int(ic.(*network).links[i].n)
 	}
 	return k
 }
@@ -120,10 +119,10 @@ func TestQueuedCountsBothStages(t *testing.T) {
 	if got := queued(b); got != 2 {
 		t.Fatalf("queued %d before arbitration, want 2", got)
 	}
-	eng.Step() // the grant round moves both onto the delivery queue
-	if l := &b.(*network).links[0]; l.reqs.Len() != 0 || l.dels.Len() != 2 {
-		t.Fatalf("after the grant round: %d awaiting arbitration, %d delivery, want 0 and 2",
-			l.reqs.Len(), l.dels.Len())
+	eng.Step() // the grant round grants both
+	if l := &b.(*network).links[0]; l.n-l.granted != 0 || l.granted != 2 {
+		t.Fatalf("after the grant round: %d awaiting arbitration, %d granted, want 0 and 2",
+			l.n-l.granted, l.granted)
 	}
 	eng.Run()
 	if got := queued(b); got != 0 {

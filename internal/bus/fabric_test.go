@@ -89,9 +89,9 @@ func TestValidateTopology(t *testing.T) {
 	}
 }
 
-// TestMeshRouteXY pins dimension-order routing on a 3x4 mesh: column hops
-// first, then row hops, every link a real adjacency, hop count the
-// Manhattan distance.
+// TestMeshRouteXY pins dimension-order routing on a 3x4 mesh, walking the
+// cursor Send uses: column hops first, then row hops, every link a real
+// adjacency, hop count the Manhattan distance, then the ejection port.
 func TestMeshRouteXY(t *testing.T) {
 	topo, err := ParseTopology("mesh:3x4", 12)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestMeshRouteXY(t *testing.T) {
 			if s == d {
 				continue
 			}
-			path := f.route(s, d, nil)
+			path := walk(t, f, s, d)
 			manhattan := abs(s/topo.Cols-d/topo.Cols) + abs(s%topo.Cols-d%topo.Cols)
 			if len(path) != manhattan {
 				t.Fatalf("route %d->%d has %d hops, want Manhattan %d", s, d, len(path), manhattan)
@@ -132,8 +132,8 @@ func TestMeshRouteXY(t *testing.T) {
 	}
 }
 
-// TestRingRouteShorterArc pins the ring's direction choice: the shorter
-// arc wins, ties go clockwise.
+// TestRingRouteShorterArc pins the ring's direction choice, walking the
+// cursor Send uses: the shorter arc wins, ties go clockwise.
 func TestRingRouteShorterArc(t *testing.T) {
 	topo, err := ParseTopology("ring:6", 6)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestRingRouteShorterArc(t *testing.T) {
 			if s == d {
 				continue
 			}
-			path := f.route(s, d, nil)
+			path := walk(t, f, s, d)
 			cw := (d - s + 6) % 6
 			ccw := (s - d + 6) % 6
 			wantHops := cw
@@ -345,9 +345,10 @@ func TestFabricXbarReset(t *testing.T) {
 	}
 }
 
-// FuzzMeshRoute fuzzes the XY router over arbitrary geometries and
+// FuzzMeshRoute fuzzes the XY routing cursor over arbitrary geometries and
 // endpoint pairs: the route must follow real adjacencies from src to dst,
-// X strictly before Y, with hop count exactly the Manhattan distance.
+// X strictly before Y, with hop count exactly the Manhattan distance, and
+// end on dst's local port.
 func FuzzMeshRoute(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint16(0), uint16(15))
 	f.Add(uint8(1), uint8(1), uint16(0), uint16(0))
@@ -363,7 +364,7 @@ func FuzzMeshRoute(f *testing.F) {
 		if src == dst {
 			return
 		}
-		path := fb.route(src, dst, nil)
+		path := walk(t, fb, src, dst)
 		manhattan := abs(src/cols-dst/cols) + abs(src%cols-dst%cols)
 		if len(path) != manhattan {
 			t.Fatalf("mesh %dx%d route %d->%d: %d hops, want Manhattan %d", rows, cols, src, dst, len(path), manhattan)
@@ -395,6 +396,26 @@ func FuzzMeshRoute(f *testing.F) {
 			t.Fatalf("mesh %dx%d route %d->%d ends at %d", rows, cols, src, dst, at)
 		}
 	})
+}
+
+// walk drives the routing cursor Send uses from tile s to tile d (s != d)
+// and returns the directional links it crosses. The last hop must be d's
+// local port, which walk checks and leaves off.
+func walk(t testing.TB, f *network, s, d int) []int {
+	t.Helper()
+	var op hopOp
+	f.startRoute(&op, s, d)
+	var path []int
+	for !op.last {
+		if len(path) > len(f.links) {
+			t.Fatalf("route %d->%d does not end", s, d)
+		}
+		path = append(path, f.hop(&op))
+	}
+	if eject := path[len(path)-1]; eject != d {
+		t.Fatalf("route %d->%d ejects through link %d, want local port %d", s, d, eject, d)
+	}
+	return path[:len(path)-1]
 }
 
 // linkEnds decodes a mesh or ring link index back to its (from, to)

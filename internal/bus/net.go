@@ -21,37 +21,41 @@ import (
 // cwLink/ccwLink for the ring). A message occupies each link on its route
 // for the occupancy, hop by hop: hop k's delivery enqueues hop k+1, so
 // per-hop queueing delay accrues into WaitCycles the same way bus
-// arbitration does. Routing is deterministic: the mesh routes XY (all
-// column hops, then all row hops — dimension-order routing is
-// deadlock-free and makes the hop count the Manhattan distance), the ring
-// routes the shorter arc with ties broken clockwise. Every route ends with
-// the destination tile's local port, so all traffic converging on a tile
-// serializes in one FIFO, and two messages between the same endpoints can
-// never reorder: same endpoints, same route, FIFO per link. Vendor
-// traffic crosses exactly tile 0's local port, on any geometry, keeping
-// all token round trips in one FIFO. A one-tile mesh or ring has just
-// that port, so it is the single bus by construction.
+// arbitration does. The message carries a cursor along its route (see
+// hopOp), so no path is ever built. Routing is deterministic: the mesh
+// routes XY (all column hops, then all row hops — dimension-order routing
+// is deadlock-free and makes the hop count the Manhattan distance), the
+// ring routes the shorter arc with ties broken clockwise, the direction
+// chosen once at injection. Every route ends with the destination tile's
+// local port, so all traffic converging on a tile serializes in one FIFO,
+// and two messages between the same endpoints can never reorder: same
+// endpoints, same route, FIFO per link. Vendor traffic crosses exactly
+// tile 0's local port, on any geometry, keeping all token round trips in
+// one FIFO. A one-tile mesh or ring has just that port, so it is the
+// single bus by construction.
 type network struct {
-	eng   *sim.Engine
-	topo  Topology
-	mask  uint64 // bus shapes: the bank interleave, banks-1
-	links []link
-	stats []Stats  // per-link counters; links[i].stats is &stats[i]
-	free  []*hopOp // recycled multi-hop operations
+	eng       *sim.Engine
+	occupancy sim.Time // cycles one message holds a link
+	stats     []Stats  // per-link counters
+	links     []link
+	topo      Topology
+	mask      uint64   // bus shapes: the bank interleave, banks-1
+	free      []*hopOp // recycled multi-hop operations
 
 	// The delivery pump of a bus of two or more banks: one in-flight
-	// event serving the earliest due slot end across all banks.
+	// event serving the earliest due slot end across all banks. pumpFn
+	// is nil on every other shape.
 	pumpPending bool
 	pumpAt      sim.Time
 	pumpRef     sim.EventRef
 	pumpFn      func()
 	rr          int // rotating start bank for same-cycle service
-	due         []delivery
+	due         []func()
 }
 
 // newNetwork builds the links of a bus, mesh or ring topology.
 func newNetwork(eng *sim.Engine, occupancy sim.Time, topo Topology, banks int) *network {
-	n := &network{eng: eng, topo: topo}
+	n := &network{eng: eng, occupancy: occupancy, topo: topo}
 	nlinks := 1
 	switch topo.Kind {
 	case TopoMesh:
@@ -75,18 +79,15 @@ func newNetwork(eng *sim.Engine, occupancy sim.Time, topo Topology, banks int) *
 	n.stats = make([]Stats, nlinks)
 	for i := range n.links {
 		l := &n.links[i]
-		l.eng, l.occupancy, l.stats = eng, occupancy, &n.stats[i]
+		l.id, l.net = int32(i), n
 		l.roundFn = l.grantRound
 		l.deliverFn = l.deliverHead
-		if n.pumpFn != nil {
-			l.pump = n
-		}
 	}
 	return n
 }
 
 // Send implements Interconnect. On the bus shapes the message joins its
-// bank's arbitration FIFO. On the mesh and ring it crosses every link of
+// bank's queue. On the mesh and ring it crosses every link of
 // the deterministic src->dst route, then delivers; vendor and same-tile
 // traffic crosses just one local port.
 func (n *network) Send(src, dst int, key uint64, deliver func()) {
@@ -103,11 +104,9 @@ func (n *network) Send(src, dst int, key uint64, deliver func()) {
 		return
 	}
 	op := n.getHop()
-	op.path = n.route(s, d, op.path[:0])
-	op.path = append(op.path, d) // ejection: dst's local port
-	op.idx = 0
+	n.startRoute(op, s, d)
 	op.deliver = deliver
-	n.links[op.path[0]].send(op.fn)
+	n.links[n.hop(op)].send(op.fn)
 }
 
 // Stats implements Interconnect. On the mesh and ring Messages counts
@@ -118,7 +117,7 @@ func (n *network) Stats() Stats { return total(n.stats) }
 // the mesh and ring (local ports first, then the directional channels).
 func (n *network) BankStats() []Stats { return slices.Clone(n.stats) }
 
-// Reset implements Interconnect: every link's queues empty, wires free,
+// Reset implements Interconnect: every link's queue empty, wires free,
 // counters zeroed, and the pump disarmed with its round-robin cursor
 // rewound. Queue storage, pre-bound callbacks and the hop-operation free
 // list are kept; in-flight hop operations are abandoned with the engine's
@@ -142,8 +141,8 @@ func (n *network) Reset() {
 func (n *network) armPump() {
 	earliest := sim.MaxTime
 	for i := range n.links {
-		if l := &n.links[i]; l.dels.Len() > 0 && l.dels.Front().at < earliest {
-			earliest = l.dels.Front().at
+		if l := &n.links[i]; l.granted > 0 && l.front().at < earliest {
+			earliest = l.front().at
 		}
 	}
 	if earliest == sim.MaxTime {
@@ -176,36 +175,41 @@ func (n *network) pump() {
 	n.rr = (n.rr + 1) & int(n.mask)
 	for i := range n.links {
 		l := &n.links[(start+i)&int(n.mask)]
-		for l.dels.Len() > 0 && l.dels.Front().at == now {
-			due = append(due, l.dels.Pop())
+		for l.granted > 0 && l.front().at == now {
+			due = append(due, l.pop())
 		}
 	}
 	n.armPump()
 	for i := range due {
-		due[i].deliver()
-		due[i].deliver = nil // release the closure for GC
+		due[i]()
+		due[i] = nil // release the closure for GC
 	}
 	n.due = due[:0]
 }
 
-// hopOp carries one multi-hop message across its route: a pooled
-// operation whose pre-bound step callback is the delivery function of
-// each intermediate hop.
+// hopOp carries one multi-hop message along its route: a pooled operation
+// whose pre-bound step callback is the delivery function of each hop, and
+// whose cursor is the part of the route still ahead. On the mesh the
+// cursor is the tile (r, c) the message has reached and the destination
+// (dr, dc). The ring is one row: c steps by dir, +1 clockwise or -1
+// counter-clockwise, wrapping at the tile count. dst is the destination
+// tile, whose local port is the last hop; last marks that hop.
 type hopOp struct {
-	n       *network
-	path    []int // link indices, reused storage
-	idx     int
-	deliver func()
-	fn      func() // pre-bound step (no per-hop closure)
+	n            *network
+	r, c, dr, dc int32
+	dir          int32
+	dst          int32
+	last         bool
+	deliver      func()
+	fn           func() // pre-bound step (no per-hop closure)
 }
 
 // step advances a multi-hop message: each hop's delivery enqueues the
 // next link, and the final (ejection) hop runs the caller's deliver and
 // recycles the operation.
 func (op *hopOp) step() {
-	op.idx++
-	if op.idx < len(op.path) {
-		op.n.links[op.path[op.idx]].send(op.fn)
+	if !op.last {
+		op.n.links[op.n.hop(op)].send(op.fn)
 		return
 	}
 	d := op.deliver
@@ -223,6 +227,56 @@ func (n *network) getHop() *hopOp {
 	op := &hopOp{n: n}
 	op.fn = op.step
 	return op
+}
+
+// startRoute points op's cursor at the deterministic route from tile s to
+// tile d: XY dimension-order on the mesh (hop count is the Manhattan
+// distance), shorter arc on the ring (ties clockwise).
+func (n *network) startRoute(op *hopOp, s, d int) {
+	op.dst, op.last = int32(d), false
+	if n.topo.Kind == TopoRing {
+		t := n.topo.Nodes
+		op.r, op.c, op.dr, op.dc, op.dir = 0, int32(s), 0, int32(d), 1
+		if (d-s+t)%t > (s-d+t)%t {
+			op.dir = -1
+		}
+		return
+	}
+	cols := n.topo.Cols
+	op.r, op.c, op.dr, op.dc, op.dir = int32(s/cols), int32(s%cols), int32(d/cols), int32(d%cols), 0
+}
+
+// hop returns the link of op's next hop and moves the cursor past it. The
+// last hop is the destination's local port.
+func (n *network) hop(op *hopOp) int {
+	r, c := int(op.r), int(op.c)
+	switch {
+	case op.c == op.dc && op.r == op.dr:
+		op.last = true
+		return int(op.dst)
+	case op.dir > 0:
+		if op.c++; int(op.c) == n.topo.Nodes {
+			op.c = 0
+		}
+		return n.cwLink(c)
+	case op.dir < 0:
+		if op.c--; op.c < 0 {
+			op.c = int32(n.topo.Nodes - 1)
+		}
+		return n.ccwLink(c)
+	case op.c < op.dc:
+		op.c++
+		return n.eastLink(r, c)
+	case op.c > op.dc:
+		op.c--
+		return n.westLink(r, c)
+	case op.r < op.dr:
+		op.r++
+		return n.southLink(r, c)
+	default:
+		op.r--
+		return n.northLink(r, c)
+	}
 }
 
 // Mesh directional-link indexing: each movement between adjacent tiles
@@ -244,43 +298,3 @@ func (n *network) northLink(r, c int) int { // (r,c) -> (r-1,c)
 // Ring directional-link indexing.
 func (n *network) cwLink(i int) int  { return n.topo.Nodes + i }   // i -> i+1
 func (n *network) ccwLink(i int) int { return 2*n.topo.Nodes + i } // i -> i-1
-
-// route appends the directional links of the deterministic route from
-// tile s to tile d (s != d) onto path: XY dimension-order on the mesh
-// (hop count is the Manhattan distance), shorter arc on the ring (ties
-// clockwise). The ejection hop is appended by the caller.
-func (n *network) route(s, d int, path []int) []int {
-	if n.topo.Kind == TopoRing {
-		t := n.topo.Nodes
-		if (d-s+t)%t <= (s-d+t)%t {
-			for i := s; i != d; i = (i + 1) % t {
-				path = append(path, n.cwLink(i))
-			}
-		} else {
-			for i := s; i != d; i = (i - 1 + t) % t {
-				path = append(path, n.ccwLink(i))
-			}
-		}
-		return path
-	}
-	cols := n.topo.Cols
-	r, c := s/cols, s%cols
-	dr, dc := d/cols, d%cols
-	for c < dc {
-		path = append(path, n.eastLink(r, c))
-		c++
-	}
-	for c > dc {
-		path = append(path, n.westLink(r, c))
-		c--
-	}
-	for r < dr {
-		path = append(path, n.southLink(r, c))
-		r++
-	}
-	for r > dr {
-		path = append(path, n.northLink(r, c))
-		r--
-	}
-	return path
-}

@@ -192,13 +192,6 @@ func (c Config) WithBanks(banks int) Config {
 	return c
 }
 
-// WithTopology returns a copy of c on the given interconnect topology
-// ("" restores the default bus selected by Banks).
-func (c Config) WithTopology(topology string) Config {
-	c.Machine.Topology = topology
-	return c
-}
-
 // ValidateBanks checks a bank count in isolation: 0 selects the single
 // split bus, anything else must be a power of two no wider than MaxBanks.
 // Validate applies it to Machine.Banks; the CLI uses it to reject a bad

@@ -102,32 +102,48 @@ type fire struct {
 	id   int
 }
 
+// script shapes runScript's random workload: times spread over horizon
+// cycles and rounded up to a multiple of quantum (1 leaves them as
+// drawn), and priorities drawn from [prioBase, prioBase+prios).
+type script struct {
+	horizon  int64
+	quantum  int64
+	prioBase int
+	prios    int
+}
+
 // runScript executes a deterministic pseudo-random workload on a driver:
 // initial events across the horizon, cascades scheduled from inside
 // dispatch (including same-cycle re-entry), and random cancellations of
 // still-pending events. All decisions derive from the RNG in dispatch
 // order, so two engines executing identically draw identically — and any
 // ordering divergence shows up as diverging traces.
-func runScript(d driver, seed uint64, horizon int64, prios, initial, budget int) []fire {
-	rng := NewRNG(seed, uint64(horizon))
+func runScript(d driver, seed uint64, sc script, initial, budget int) []fire {
+	rng := NewRNG(seed, uint64(sc.horizon))
 	var trace []fire
 	var cancels []func()
 	nextID := 0
+	quantum := max(sc.quantum, 1)
+	future := func(from Time) Time {
+		at := from + Time(rng.Intn(int(sc.horizon)))
+		return (at + Time(quantum) - 1) / Time(quantum) * Time(quantum)
+	}
+	prio := func() int { return sc.prioBase + rng.Intn(sc.prios) }
 
 	var schedule func(at Time, prio int)
-	schedule = func(at Time, prio int) {
+	schedule = func(at Time, p int) {
 		id := nextID
 		nextID++
-		cancels = append(cancels, d.schedule(at, prio, func() {
-			trace = append(trace, fire{d.now(), prio, id})
+		cancels = append(cancels, d.schedule(at, p, func() {
+			trace = append(trace, fire{d.now(), p, id})
 			for c := 0; c < 3 && budget > 0; c++ {
 				switch rng.Intn(6) {
 				case 0: // future cascade
 					budget--
-					schedule(d.now()+Time(rng.Intn(int(horizon))), rng.Intn(prios))
+					schedule(future(d.now()), prio())
 				case 1: // same-cycle re-entry
 					budget--
-					schedule(d.now(), rng.Intn(prios))
+					schedule(d.now(), prio())
 				case 2: // cancel a random earlier event (may already be done)
 					cancels[rng.Intn(len(cancels))]()
 				}
@@ -135,7 +151,7 @@ func runScript(d driver, seed uint64, horizon int64, prios, initial, budget int)
 		}))
 	}
 	for i := 0; i < initial; i++ {
-		schedule(Time(rng.Intn(int(horizon))), rng.Intn(prios))
+		schedule(future(0), prio())
 	}
 	// Cancel a deterministic subset up front too.
 	for i := 0; i < initial/8; i++ {
@@ -152,23 +168,29 @@ func runScript(d driver, seed uint64, horizon int64, prios, initial, budget int)
 // far-future overflow times.
 func TestCalendarMatchesReferenceHeap(t *testing.T) {
 	cases := []struct {
-		name    string
-		horizon int64 // scheduling spread (exercises ring vs overflow)
-		prios   int
+		name string
+		sc   script
 	}{
-		{"dense-ring", 64, 1},
-		{"priorities", 200, 3},
-		{"overflow-heavy", 100000, 2},
-		{"mixed-horizon", 5000, 4},
+		{"dense-ring", script{horizon: 64, prios: 1}},
+		{"priorities", script{horizon: 200, prios: 3}},
+		{"overflow-heavy", script{horizon: 100000, prios: 2}},
+		{"mixed-horizon", script{horizon: 5000, prios: 4}},
 		// Nearly every event shares its cycle with others of all three
 		// priorities: ring FIFOs and the heap interleave within a cycle.
-		{"dense-same-cycle", 4, 3},
+		{"dense-same-cycle", script{horizon: 4, prios: 3}},
+		// Priority-0 events land on a few cycles, some scheduled window
+		// or more ahead (the heap) and some from within the window (the
+		// ring): the heap head and a ring bucket tie on time and
+		// priority, and only the sequence may break the tie.
+		{"heap-ring-ties", script{horizon: 3 * int64(window), quantum: 128, prios: 1}},
+		// Negative priorities beat the ring at a tie, positive ones lose.
+		{"signed-priorities", script{horizon: 2 * int64(window), quantum: 64, prioBase: -1, prios: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
-				got := runScript(engineDriver(NewEngine()), seed, tc.horizon, tc.prios, 300, 1500)
-				want := runScript(referenceDriver(&refEngine{}), seed, tc.horizon, tc.prios, 300, 1500)
+				got := runScript(engineDriver(NewEngine()), seed, tc.sc, 300, 1500)
+				want := runScript(referenceDriver(&refEngine{}), seed, tc.sc, 300, 1500)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
 				}
@@ -203,6 +225,88 @@ func TestEventRefGoesStaleAfterFire(t *testing.T) {
 	e.Run()
 	if !ran {
 		t.Fatal("stale Cancel killed an unrelated recycled event")
+	}
+}
+
+// TestEventRefStaleAcrossReset pins Reset's side of the recycling
+// contract, for a ring event and a heap event: a ref taken before Reset
+// must neither cancel the event that reuses its storage afterwards nor
+// report Canceled when that event is canceled through its own ref.
+func TestEventRefStaleAcrossReset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   Time
+		prio int
+	}{
+		{"ring", 5, 0},
+		{"heap", 5, 1},
+		{"far", 3 * window, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			old := e.ScheduleWithPriority(tc.at, tc.prio, func() { t.Fatal("discarded event ran") })
+			e.Reset()
+			ran := false
+			reuse := e.ScheduleWithPriority(tc.at, tc.prio, func() { ran = true })
+			if reuse.ev != old.ev || reuse.slot != old.slot {
+				t.Fatalf("the event after Reset did not reuse the discarded one's storage")
+			}
+			old.Cancel()
+			if reuse.Canceled() {
+				t.Fatal("a pre-Reset ref canceled the event reusing its storage")
+			}
+			e.Run()
+			if !ran {
+				t.Fatal("the event reusing the storage did not run")
+			}
+			e.Reset()
+			victim := e.ScheduleWithPriority(tc.at, tc.prio, func() {})
+			victim.Cancel()
+			if old.Canceled() || reuse.Canceled() {
+				t.Fatal("a stale ref reports Canceled for the storage's new occupant")
+			}
+			if !victim.Canceled() {
+				t.Fatal("a live ref does not report its own cancellation")
+			}
+		})
+	}
+}
+
+// TestGenerationNeverWraps pins the retirement rule that keeps 32-bit
+// generations sound: a slot or heap event whose generation is spent is
+// never reused, so a ref to its last occupant can never match a later
+// event, however many times storage is recycled.
+func TestGenerationNeverWraps(t *testing.T) {
+	e := NewEngine()
+	r := e.Schedule(1, func() {})
+	h := e.ScheduleWithPriority(1, 1, func() {})
+	e.Run()
+	// Fast-forward both to their last usable generation.
+	e.slab[r.slot].gen = lastGen - 1
+	h.ev.gen = lastGen - 1
+	last := e.Schedule(2, func() {})
+	lastHeap := e.ScheduleWithPriority(2, 1, func() {})
+	if last.slot != r.slot || lastHeap.ev != h.ev {
+		t.Fatal("the test did not reach the fast-forwarded storage")
+	}
+	e.Run()
+	if e.slab[r.slot].gen != lastGen || h.ev.gen != lastGen {
+		t.Fatalf("generations %d/%d after the last use, want retired at %d", e.slab[r.slot].gen, h.ev.gen, lastGen)
+	}
+	next := e.Schedule(3, func() {})
+	nextHeap := e.ScheduleWithPriority(3, 1, func() {})
+	if next.slot == r.slot || nextHeap.ev == h.ev {
+		t.Fatal("retired storage was handed out again")
+	}
+	// Every ref the retired storage ever issued stays stale.
+	for _, stale := range []EventRef{r, h, last, lastHeap, {e: e, slot: r.slot, gen: 0}} {
+		stale.Cancel()
+		if stale.Canceled() {
+			t.Fatal("a ref to retired storage reports Canceled")
+		}
+	}
+	if next.Canceled() || nextHeap.Canceled() {
+		t.Fatal("a ref to retired storage canceled a live event")
 	}
 }
 

@@ -12,18 +12,21 @@
 //
 // The queue is a bucketed calendar queue sized for hardware-speed cascades:
 // priority-0 events within the next `window` cycles land in a per-cycle
-// ring bucket, a FIFO in schedule order (O(1) insert and dispatch). The
-// rest — far-future events such as long gating timers, and every event of
-// another priority — go to a small binary-heap overflow that dispatch
-// merges with the ring by the same (time, priority, sequence) order. Fired
-// events return to a free list, so Schedule and dispatch are
-// allocation-free in steady state; the allocation guard in
-// calendar_test.go pins that property.
+// ring bucket, a FIFO in schedule order (O(1) insert and dispatch). Ring
+// events live by value in one engine-owned slab of 16-byte slots, and a
+// bucket is a linked list of slab indices, so scheduling one allocates
+// nothing and touches no heap object. The rest — far-future events such as long gating timers, and
+// every event of another priority — go to a small binary-heap overflow
+// that dispatch merges with the ring by the same (time, priority,
+// sequence) order. Freed slab slots and heap events are reused, so
+// Schedule and dispatch are allocation-free in steady state; the
+// allocation guard in calendar_test.go pins that property.
 //
-// Because events are recycled, Schedule returns an EventRef — a
-// generation-stamped handle — rather than a raw event pointer. A ref is
-// invalidated the moment its event fires or is recycled, so a stale Cancel
-// can never hit an unrelated event that happens to reuse the same slot.
+// Because storage is recycled, Schedule returns an EventRef — a
+// generation-stamped handle to a slab slot or a heap event — rather than
+// a raw pointer. A ref is invalidated the moment its event fires or is
+// discarded, so a stale Cancel can never hit an unrelated event that
+// happens to reuse the same storage.
 package sim
 
 import (
@@ -48,17 +51,16 @@ const (
 	windowMask = window - 1
 )
 
-// event is one scheduled callback. Events are engine-owned: they live in
-// the calendar or the overflow heap while pending and return to the
-// engine's free list when fired or discarded. External code holds
-// EventRef handles, never *event.
+// event is one overflow-heap event. Heap events are engine-owned: they
+// live in the heap while pending and return to the engine's free list
+// when fired or discarded. External code holds EventRef handles, never
+// *event.
 type event struct {
 	at       Time
 	priority int // lower runs first among events at the same cycle
 	seq      uint64
-	gen      uint64 // bumped on recycle; EventRef validity stamp
-	fn       func()
-	canceled bool
+	fn       func() // nil once canceled
+	gen      uint32 // bumped on recycle; EventRef validity stamp
 }
 
 // less is the engine's total dispatch order: (time, priority, sequence).
@@ -72,27 +74,63 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// EventRef is a cancellation handle for a scheduled event. The zero value
-// is a valid "no event" ref: Cancel is a no-op and Canceled reports false.
-// A ref goes stale — permanently inert — once its event fires or is
-// discarded, so holding a ref past the event's lifetime is always safe.
+// slot is one ring event, stored by value in the engine's slab. It keeps
+// no time, priority or sequence: its bucket gives the time, its priority
+// is 0, and fireNext never needs its sequence. Index 0 of the slab is a
+// sentinel that is never handed out, so 0 ends every list and a zero
+// bucket is empty.
+type slot struct {
+	fn   func() // nil once canceled
+	gen  uint32 // bumped on recycle; EventRef validity stamp
+	next int32  // the next slot of the bucket's FIFO or of the free list
+}
+
+// lastGen is the generation at which a slot or heap event is retired
+// instead of reused. Generations never wrap, so no stale ref can match
+// a later occupant of its storage, however long the engine runs.
+const lastGen = math.MaxUint32
+
+// EventRef is a cancellation handle for a scheduled event: a heap event
+// or a ring slot, each with the generation it had when scheduled. The
+// zero value is a valid "no event" ref: Cancel is a no-op and Canceled
+// reports false. A ref goes stale — permanently inert — once its event
+// fires or is discarded (Reset discards every pending event), so holding
+// a ref past the event's lifetime is always safe.
 type EventRef struct {
-	ev  *event
-	gen uint64
+	ev   *event  // a heap event, or nil
+	e    *Engine // a ring event's engine, or nil
+	slot int32   // a ring event's slab index
+	gen  uint32
+}
+
+// fnp returns the referenced event's callback slot when the ref is
+// still live, or nil when it is zero or stale.
+func (r EventRef) fnp() *func() {
+	if r.ev != nil {
+		if r.ev.gen == r.gen {
+			return &r.ev.fn
+		}
+	} else if r.e != nil {
+		if s := &r.e.slab[r.slot]; s.gen == r.gen {
+			return &s.fn
+		}
+	}
+	return nil
 }
 
 // Cancel marks the event so the engine skips it when its time comes.
 // Canceling an already-fired (or zero) ref is a no-op.
 func (r EventRef) Cancel() {
-	if r.ev != nil && r.ev.gen == r.gen {
-		r.ev.canceled = true
+	if fn := r.fnp(); fn != nil {
+		*fn = nil
 	}
 }
 
 // Canceled reports whether the referenced event is still pending and has
 // been canceled. It reports false for zero and stale refs.
 func (r EventRef) Canceled() bool {
-	return r.ev != nil && r.ev.gen == r.gen && r.ev.canceled
+	fn := r.fnp()
+	return fn != nil && *fn == nil
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -112,49 +150,51 @@ type Engine struct {
 	// ringNext is a lower bound on the earliest event time in the ring,
 	// valid while ringCnt > 0; the dispatch scan starts here.
 	ringNext Time
+	// slab stores the ring's events by value; freeSlot heads its LIFO
+	// free list, linked through next (0 when empty).
+	slab     []slot
+	freeSlot int32
 
 	// over is a binary min-heap (by the same (time, priority, seq)
 	// order) of events scheduled at or beyond now+window, or with a
 	// non-zero priority.
 	over []*event
 
-	free   []*event
-	queued int
+	free []*event
 }
 
-// bucket is one cycle's FIFO of priority-0 events. Events share one time
-// and one priority, and sequence numbers grow with every Schedule, so
-// append order is dispatch order: the live events are evs[head:].
-type bucket struct {
-	evs  []*event
-	head int
-}
-
-func (b *bucket) empty() bool { return b.head == len(b.evs) }
+// bucket is one cycle's FIFO of priority-0 events: a list of slab
+// indices from head to tail, linked through next. Its events share one
+// time and one priority, and are appended in schedule order, so list
+// order is dispatch order.
+type bucket struct{ head, tail int32 }
 
 // NewEngine returns an engine with the clock at cycle zero.
 func NewEngine() *Engine {
-	return &Engine{ring: make([]bucket, window)}
+	return &Engine{ring: make([]bucket, window), slab: make([]slot, 1, 64)}
 }
 
 // Reset returns the engine to its initial state — clock at cycle zero,
 // sequence counter rewound, no pending events — while keeping the
-// allocated storage: the calendar ring buckets, the overflow heap's
-// backing array, and the event free list all survive, so a run on a reset
-// engine schedules without allocating from the first event. Events still
-// pending (a stopped run leaves gating timers, bus deliveries and barrier
-// spins queued) are discarded and recycled; their EventRefs go stale
-// exactly as if they had fired. A reset engine is indistinguishable from
-// a NewEngine to every observer of the public API, which is what lets a
+// allocated storage: the calendar ring buckets, the slab, the overflow
+// heap's backing array, and the event free list all survive, so a run on
+// a reset engine schedules without allocating from the first event.
+// Events still pending (a stopped run leaves gating timers, bus
+// deliveries and barrier spins queued) are discarded and recycled; their
+// EventRefs go stale exactly as if they had fired, and generations are
+// never rewound, so no ref taken before a Reset matches an event
+// scheduled after it. A reset engine is indistinguishable from a
+// NewEngine to every observer of the public API, which is what lets a
 // reused simulated machine reproduce a fresh one bit for bit.
 func (e *Engine) Reset() {
 	for i := range e.ring {
 		b := &e.ring[i]
-		for _, ev := range b.evs[b.head:] {
-			e.recycle(ev)
+		for j := b.head; j != 0; {
+			next := e.slab[j].next
+			e.recycleSlot(j)
+			j = next
 		}
-		clear(b.evs)
-		b.evs, b.head = b.evs[:0], 0
+		*b = bucket{}
 	}
 	for i, ev := range e.over {
 		e.recycle(ev)
@@ -167,7 +207,6 @@ func (e *Engine) Reset() {
 	e.stopped = false
 	e.ringCnt = 0
 	e.ringNext = 0
-	e.queued = 0
 }
 
 // Now returns the current simulation time.
@@ -178,7 +217,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events currently scheduled (including
 // canceled events not yet discarded).
-func (e *Engine) Pending() int { return e.queued }
+func (e *Engine) Pending() int { return e.ringCnt + len(e.over) }
 
 // Schedule runs fn at absolute time at. Scheduling in the past panics:
 // that is always a protocol-model bug, never a recoverable condition.
@@ -201,20 +240,33 @@ func (e *Engine) ScheduleWithPriority(at Time, priority int, fn func()) EventRef
 	if fn == nil {
 		panic("sim: schedule nil function")
 	}
-	ev := e.alloc()
-	ev.at, ev.priority, ev.seq, ev.fn, ev.canceled = at, priority, e.seq, fn, false
-	e.seq++
-	e.queued++
 	if priority == 0 && at-e.now < window {
+		i := e.freeSlot
+		if i != 0 {
+			e.freeSlot = e.slab[i].next
+		} else {
+			i = int32(len(e.slab))
+			e.slab = append(e.slab, slot{})
+		}
+		s := &e.slab[i]
+		s.fn, s.next = fn, 0
 		b := &e.ring[at&windowMask]
-		b.evs = append(b.evs, ev)
+		if b.head == 0 {
+			b.head = i
+		} else {
+			e.slab[b.tail].next = i
+		}
+		b.tail = i
 		if e.ringCnt == 0 || at < e.ringNext {
 			e.ringNext = at
 		}
 		e.ringCnt++
-	} else {
-		e.overPush(ev)
+		return EventRef{e: e, slot: i, gen: s.gen}
 	}
+	ev := e.alloc()
+	ev.at, ev.priority, ev.seq, ev.fn = at, priority, e.seq, fn
+	e.seq++
+	e.overPush(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -229,12 +281,23 @@ func (e *Engine) alloc() *event {
 }
 
 // recycle invalidates outstanding refs to ev and returns it to the free
-// list.
+// list, or retires it once its generation is spent.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.canceled = false
-	ev.gen++
-	e.free = append(e.free, ev)
+	if ev.gen++; ev.gen != lastGen {
+		e.free = append(e.free, ev)
+	}
+}
+
+// recycleSlot invalidates outstanding refs to slab slot i and pushes it
+// on the free list, or retires it once its generation is spent.
+func (e *Engine) recycleSlot(i int32) {
+	s := &e.slab[i]
+	s.fn = nil
+	if s.gen++; s.gen != lastGen {
+		s.next = e.freeSlot
+		e.freeSlot = i
+	}
 }
 
 // nextTime returns the earliest pending event time (canceled events
@@ -242,7 +305,7 @@ func (e *Engine) recycle(ev *event) {
 func (e *Engine) nextTime() (Time, bool) {
 	if e.ringCnt > 0 {
 		t := e.ringNext
-		for e.ring[t&windowMask].empty() {
+		for e.ring[t&windowMask].head == 0 {
 			t++
 		}
 		e.ringNext = t
@@ -260,6 +323,14 @@ func (e *Engine) nextTime() (Time, bool) {
 // fireNext executes the single next live event if its time is ≤ limit,
 // discarding canceled events it meets on the way. It reports whether an
 // event fired.
+//
+// The ring bucket at t, when non-empty, holds events due at t (ring times
+// lie in [now, now+window), where no two cycles share a bucket), and its
+// head is its sequence-minimal event. The heap head is then due at t or
+// later. At t it runs first exactly when its priority is at most 0: a
+// negative priority wins outright, and a priority-0 event took the heap
+// only by being due window or more cycles after it was scheduled, so it
+// was scheduled, and numbered, before every ring event due at t.
 func (e *Engine) fireNext(limit Time) bool {
 	for {
 		if e.stopped {
@@ -269,31 +340,25 @@ func (e *Engine) fireNext(limit Time) bool {
 		if !ok || t > limit {
 			return false
 		}
-		// The bucket's head is its (priority, seq)-minimal event; the heap
-		// head competes with it under the full dispatch order.
-		var ev *event
-		b := &e.ring[t&windowMask]
-		if !b.empty() && b.evs[b.head].at == t &&
-			(len(e.over) == 0 || less(b.evs[b.head], e.over[0])) {
-			ev = b.evs[b.head]
-			b.evs[b.head] = nil
-			if b.head++; b.empty() {
-				b.evs, b.head = b.evs[:0], 0
-			}
+		var fn func()
+		if b := &e.ring[t&windowMask]; b.head != 0 &&
+			(len(e.over) == 0 || e.over[0].at != t || e.over[0].priority > 0) {
+			i := b.head
+			b.head = e.slab[i].next
+			fn = e.slab[i].fn
+			e.recycleSlot(i)
 			e.ringCnt--
 		} else {
-			ev = e.overPop()
-		}
-		e.queued--
-		if ev.canceled {
+			ev := e.overPop()
+			if ev.at < e.now {
+				panic(fmt.Sprintf("sim: time went backwards: %d < %d", ev.at, e.now))
+			}
+			fn = ev.fn
 			e.recycle(ev)
+		}
+		if fn == nil { // canceled
 			continue
 		}
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %d < %d", ev.at, e.now))
-		}
-		fn := ev.fn
-		e.recycle(ev)
 		e.now = t
 		e.fired++
 		fn()
