@@ -95,8 +95,8 @@
 // format (ServeConfig.CheckpointPath), so an interrupted fleet job
 // restarts at the first incomplete cell — or finishes locally with
 // `cmd/experiments -resume`. The CLI exposes the roles as
-// `experiments -serve addr` (with -selfwork for an in-process worker),
-// `experiments -worker addr` and `experiments -status addr`;
+// `experiments -serve addr`, `experiments -worker addr` and
+// `experiments -status addr`;
 // docs/DISTRIBUTED.md specifies the protocol (lease state machine,
 // renewal and stealing rules, dedup-on-re-lease, merge ordering).
 //
@@ -422,8 +422,9 @@ const (
 func NewEventRecorder() *EventRecorder { return trace.NewRecorder() }
 
 // CampaignOptions configures a campaign: the workload seed and scale,
-// the app/processor grid, the worker-pool width (Workers), per-cell seed
-// derivation (DeriveSeeds), and multi-machine sharding (Shard).
+// the app/processor grid, the gating window, the interconnect shape,
+// the technology point and the worker-pool width (Workers). Serve and
+// Work split a campaign across machines.
 type CampaignOptions = experiments.Options
 
 // Campaign holds the outcomes of a paired-run campaign and renders the
@@ -433,11 +434,6 @@ type Campaign = experiments.Campaign
 // CampaignSummary is the campaign's headline aggregate (average speed-up,
 // energy and power reductions, slowdown count).
 type CampaignSummary = experiments.Summary
-
-// Shard selects one contiguous 1/Count slice of a campaign's cells for
-// multi-machine splits; shard CSV outputs concatenate into the unsharded
-// output.
-type Shard = experiments.Shard
 
 // Cell is one independently runnable unit of a campaign.
 type Cell = experiments.Cell
@@ -523,7 +519,7 @@ func ScenarioByName(name string) (Scenario, bool) { return experiments.ScenarioB
 // batch size, worker poll interval, the post-completion drain grace, an
 // optional JSONL journal path (the -resume checkpoint format), the
 // background expiry-sweep interval, the straggler-stealing threshold,
-// progress reporting, and an OnListen hook reporting the bound address.
+// and an OnListen hook reporting the bound address.
 type ServeConfig = dist.Config
 
 // WorkerConfig tunes a distributed campaign worker: its name, the local
@@ -549,22 +545,18 @@ func FetchFleetStatus(ctx context.Context, addr string) (FleetStatus, error) {
 }
 
 // Serve turns the campaign into a fleet job: it listens on addr, owns
-// the campaign's canonical cell list (the options' grid, restricted to
-// the options' shard), leases batches of cells to any number of Work
-// processes, and merges returned results into canonical order. It
-// blocks until every cell is accounted for (or ctx is canceled) and
-// returns the merged campaign — byte-identical to NewSession(opts).Run,
-// including when workers die mid-lease (their cells are re-leased after
-// ServeConfig.LeaseTTL) or return a cell twice (first result wins).
+// the campaign's canonical cell list (the options' grid), leases batches
+// of cells to any number of Work processes, and merges returned results
+// into canonical order. It blocks until every cell is accounted for (or
+// ctx is canceled) and returns the merged campaign — byte-identical to
+// NewSession(opts).Run, including when workers die mid-lease (their
+// cells are re-leased after ServeConfig.LeaseTTL) or return a cell twice
+// (first result wins).
 // With ServeConfig.CheckpointPath set, every merged cell is journaled in
 // the -resume checkpoint format, so an interrupted coordinator restarts
 // where it left off. docs/DISTRIBUTED.md specifies the protocol.
 func Serve(ctx context.Context, addr string, opts CampaignOptions, cfg ServeConfig) (*Campaign, error) {
-	cells, err := experiments.ShardCells(opts.Cells(), opts.Shard)
-	if err != nil {
-		return nil, err
-	}
-	c, err := dist.NewCoordinator(opts, cells, cfg)
+	c, err := dist.NewCoordinator(opts, opts.Cells(), cfg)
 	if err != nil {
 		return nil, err
 	}

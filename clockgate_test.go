@@ -158,12 +158,9 @@ func TestCampaignAPI(t *testing.T) {
 	opts.Scale = 0.02
 	opts.Processors = []int{2, 4}
 	opts.Workers = 4
-	run := func(opts CampaignOptions) (*Campaign, error) {
-		session := NewSession(opts)
-		defer session.Close()
-		return session.Run(context.Background())
-	}
-	c, err := run(opts)
+	session := NewSession(opts)
+	defer session.Close()
+	c, err := session.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +170,6 @@ func TestCampaignAPI(t *testing.T) {
 	s := c.Summarize()
 	if s.AvgSpeedUp <= 0 {
 		t.Fatalf("summary %+v", s)
-	}
-
-	// Sharding through the public API: both halves together cover the
-	// campaign.
-	var n int
-	for i := 0; i < 2; i++ {
-		opts.Shard = Shard{Index: i, Count: 2}
-		half, err := run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(half.Outcomes)
-	}
-	if n != len(c.Outcomes) {
-		t.Fatalf("shards cover %d of %d cells", n, len(c.Outcomes))
 	}
 }
 

@@ -7,8 +7,6 @@
 //	experiments -table1 -fig5           # selected artifacts
 //	experiments -all -scale 0.25        # quick quarter-size campaign
 //	experiments -all -workers 8         # same output, 8 cells in flight
-//	experiments -summary -shard 0/3 -csv part0.csv   # 1/3 of the campaign;
-//	    # concatenating part0..part2 reproduces the unsharded CSV exactly
 //	experiments -matrix-list            # list every scenario-matrix case
 //	experiments -matrix M00042,M00049 -detail        # run cases by id
 //	experiments -matrix done -detail    # run every case the E2E table executes
@@ -22,8 +20,6 @@
 //	    # run leased cells on a local session
 //	experiments -serve :7400 -matrix done -resume j.jsonl  # distribute the
 //	    # done-set; the journal doubles as a -resume checkpoint
-//	experiments -serve :7400 -selfwork -summary      # coordinator that also
-//	    # works its own leases, so a fleet of one still makes progress
 //	experiments -status host:7400                    # one-shot fleet status
 //	    # snapshot (phase counts, per-worker counters, throughput, ETA)
 //	experiments -summary -tech t45      # price the campaign under another
@@ -34,6 +30,8 @@
 //	experiments -summary -tech @my.json # price under a user-defined tech
 //	    # point loaded from JSON (one object or an array; see energy.Tech)
 //	experiments -tech-list              # list the technology points
+//	experiments -tech-list -tech @my.json            # ... and the points
+//	    # the file defines (parameters, derived Table I factors)
 //
 // Every sweep runs on one clockgate session (worker pool + trace cache +
 // optional checkpoint sink); SIGINT/SIGTERM cancel the session's context,
@@ -53,9 +51,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/bus"
 	"repro/internal/config"
@@ -87,7 +83,6 @@ func main() {
 		procs      = flag.String("procs", "", "comma-separated processor counts overriding the paper's 4,8,16 sweep (up to 128, e.g. \"32,64,128\")")
 		banks      = flag.Int("banks", 0, "interconnect banks: 0 = the single split bus, a power of two = the address-interleaved banked bus (cells that pin their own shape, like matrix cases M00721+, keep it)")
 		topology   = flag.String("topology", "", "interconnect topology: \"bus\" (default), \"xbar[:N]\", \"mesh[:RxC]\" or \"ring[:N]\"; non-bus fabrics require -banks 0 (cells that pin their own shape, like matrix cases M00801+, keep it)")
-		shardSpec  = flag.String("shard", "", "run only shard i of n campaign cells, as \"i/n\"; shard CSVs concatenate cleanly (only shard 0 writes the header)")
 		matrix     = flag.String("matrix", "", "run scenario-matrix cases: comma-separated ids/names, \"done\", or \"all\"")
 		matrixList = flag.Bool("matrix-list", false, "list every scenario-matrix case")
 		e2eDoc     = flag.Bool("e2e-doc", false, "print the generated docs/E2E.md")
@@ -95,13 +90,10 @@ func main() {
 		serve      = flag.String("serve", "", "coordinate a distributed campaign on this listen address (e.g. \":7400\"): cells are leased to -worker processes and merged byte-identically to a local run; with -resume the file doubles as the coordinator journal")
 		worker     = flag.String("worker", "", "join the coordinator at this address (host:port) and execute leased cells on a local session with -workers goroutines")
 		status     = flag.String("status", "", "print the /v1/status snapshot of the coordinator at this address (host:port) and exit")
-		selfWork   = flag.Bool("selfwork", false, "with -serve: also run an in-process worker, so a fleet of one makes progress without a separate -worker process")
 		steal      = flag.Int("steal", 8, "with -serve: once at most N unfinished cells remain and none are pending, re-lease the oldest in-flight cells to idle workers (straggler stealing; 0 disables)")
-		progress   = flag.Duration("progress", 30*time.Second, "with -serve: log a fleet progress line to stderr at this interval (0 disables)")
 		tech       = flag.String("tech", "", "energy technology point pricing the campaign's cells (see -tech-list; default: the paper's Table I point); with -reprice, a comma-separated list re-prices the journal under each point; \"@file.json\" elements load user-defined points from a JSON file")
-		techList   = flag.Bool("tech-list", false, "list the registered energy technology points and their model derivations")
+		techList   = flag.Bool("tech-list", false, "list the registered energy technology points, plus any that -tech @file.json loads, and their model derivations")
 		reprice    = flag.String("reprice", "", "re-price the cells of this checkpoint/fleet journal under -tech WITHOUT re-simulating (pure checkpoint arithmetic; combines with -detail/-summary/-csv)")
-		retBatch   = flag.Int("return-batch", 0, "with -worker: stream up to N finished cells back per return instead of holding the whole lease (0 = whole lease)")
 	)
 	flag.Parse()
 
@@ -126,6 +118,11 @@ func main() {
 		return
 	}
 	if *techList {
+		// Points loaded with -tech @file.json register first, so the
+		// listing shows their parameters and factors too.
+		if _, err := parseTechs(*tech); err != nil {
+			fatal(err)
+		}
 		for _, t := range energy.Techs() {
 			fmt.Print(t.Describe())
 		}
@@ -152,10 +149,7 @@ func main() {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		st, err := dist.Work(ctx, *worker, dist.WorkerOptions{
-			Workers:     *workers,
-			ReturnBatch: *retBatch,
-		})
+		st, err := dist.Work(ctx, *worker, dist.WorkerOptions{Workers: *workers})
 		if err != nil {
 			fatal(err)
 		}
@@ -186,12 +180,6 @@ func main() {
 		fatal(err)
 	}
 	opts.Topology = *topology
-
-	shard, err := parseShard(*shardSpec)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Shard = shard
 
 	techs, err := parseTechs(*tech)
 	if err != nil {
@@ -238,14 +226,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Only shard 0 (or an unsharded run) writes the header, so
-		// concatenated shard files parse as one CSV.
-		if shard.Index == 0 {
-			err = c.WriteCSV(f)
-		} else {
-			err = c.AppendCSV(f)
-		}
-		if err != nil {
+		if err := c.WriteCSV(f); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -289,7 +270,7 @@ func main() {
 		// processes instead of the local session; the merged output is
 		// byte-identical to a local run of the same flags.
 		if *table1 || *table2 || *fig3 || *fig7 || *ablation || *extended || *seeds > 0 {
-			fatal(fmt.Errorf("-serve combines only with -matrix/-detail/-summary/-csv/-shard/-seed/-scale/-procs/-banks/-topology/-resume; run figures and tables locally"))
+			fatal(fmt.Errorf("-serve combines only with -matrix/-detail/-summary/-csv/-seed/-scale/-procs/-banks/-topology/-resume; run figures and tables locally"))
 		}
 		var cells []experiments.Cell
 		if *matrix != "" {
@@ -301,29 +282,11 @@ func main() {
 		} else {
 			cells = opts.Cells()
 		}
-		cells, err := experiments.ShardCells(cells, shard)
-		if err != nil {
-			fatal(err)
-		}
-		var selfWG sync.WaitGroup
 		coord, err := dist.NewCoordinator(opts, cells, dist.Config{
-			CheckpointPath:   *resume,
-			StealThreshold:   *steal,
-			ProgressInterval: *progress,
-			OnProgress: func(st dist.Status) {
-				fmt.Fprintln(os.Stderr, "experiments: fleet: "+st.Progress())
-			},
+			CheckpointPath: *resume,
+			StealThreshold: *steal,
 			OnListen: func(a string) {
 				fmt.Fprintf(os.Stderr, "experiments: coordinating %d cells on %s (point workers at it with -worker, inspect with -status)\n", len(cells), a)
-				if *selfWork {
-					selfWG.Add(1)
-					go func() {
-						defer selfWG.Done()
-						if _, err := dist.Work(ctx, a, dist.WorkerOptions{Name: "self", Workers: *workers}); err != nil {
-							fmt.Fprintf(os.Stderr, "experiments: in-process worker: %v\n", err)
-						}
-					}()
-				}
 			},
 		})
 		if err != nil {
@@ -337,7 +300,6 @@ func main() {
 		if err != nil {
 			fatalRun(err, *resume)
 		}
-		selfWG.Wait()
 		st := coord.Stats()
 		fmt.Fprintf(os.Stderr, "experiments: distributed campaign complete: %d cells (%d restored from journal, %d leases, %d expired, %d renewals, %d stolen, %d duplicate returns)\n",
 			len(cells), st.Restored, st.Leases, st.Expired, st.Renewals, st.Steals, st.Duplicates)
@@ -358,7 +320,7 @@ func main() {
 		// figure/table artifacts would silently drop them, so refuse.
 		if *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *fig7 ||
 			*ablation || *extended || *seeds > 0 {
-			fatal(fmt.Errorf("-matrix combines only with -detail/-summary/-csv/-workers/-shard/-seed/-scale; run figures and tables separately"))
+			fatal(fmt.Errorf("-matrix combines only with -detail/-summary/-csv/-workers/-seed/-scale; run figures and tables separately"))
 		}
 		scenarios, err := selectScenarios(*matrix)
 		if err != nil {
@@ -417,18 +379,11 @@ func main() {
 	}
 
 	if *fig7 {
-		// The W0 sweep aggregates every (app, Np, W0) point into one
-		// figure, so it cannot be split across shards; running it on
-		// every shard would waste the wall-clock sharding buys.
-		if shard.Count != 0 {
-			fmt.Println("Figure 7 skipped in shard mode (the W0 sweep is one indivisible figure); run -fig7 unsharded")
-		} else {
-			out, err := session.Fig7(ctx)
-			if err != nil {
-				fatalRun(err, *resume)
-			}
-			fmt.Println(out)
+		out, err := session.Fig7(ctx)
+		if err != nil {
+			fatalRun(err, *resume)
 		}
+		fmt.Println(out)
 	}
 
 	if *ablation {
@@ -518,26 +473,6 @@ func parseTechs(arg string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// parseShard parses "-shard i/n" into a Shard; "" means unsharded.
-func parseShard(s string) (experiments.Shard, error) {
-	if s == "" {
-		return experiments.Shard{}, nil
-	}
-	idx, count, ok := strings.Cut(s, "/")
-	var sh experiments.Shard
-	var err error
-	if sh.Index, err = strconv.Atoi(idx); ok && err == nil {
-		sh.Count, err = strconv.Atoi(count)
-	}
-	if !ok || err != nil {
-		return experiments.Shard{}, fmt.Errorf("bad -shard %q (want \"i/n\", e.g. 0/3)", s)
-	}
-	if err := sh.Validate(); err != nil {
-		return experiments.Shard{}, err
-	}
-	return sh, nil
 }
 
 // selectScenarios resolves the -matrix argument: "all", "done", or a

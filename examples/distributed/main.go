@@ -75,7 +75,7 @@ func main() {
 				defer wg.Done()
 				time.Sleep(500 * time.Millisecond)
 				if st, err := clockgate.FetchFleetStatus(ctx, addr); err == nil {
-					fmt.Printf("fleet status: %s\n", st.Progress())
+					fmt.Printf("fleet status:\n%s", st.Summary())
 				}
 			}()
 		},

@@ -24,7 +24,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cm"
 	"repro/internal/config"
-	"repro/internal/fifo"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -183,10 +182,10 @@ type Directory struct {
 	nextFreeMem sim.Time // local memory port availability (single R/W port)
 
 	// reads is the memory-port completion queue: reservation times are
-	// nondecreasing, so one chained event (readFn) walks the FIFO.
-	reads       fifo.Queue[readReq]
-	readPending bool
-	readFn      func()
+	// nondecreasing, so one chained event (readFn) walks the FIFO. The
+	// event is in flight exactly when the queue is non-empty.
+	reads  readQueue
+	readFn func()
 
 	// One commit writes here at a time (writer guard), so the per-line
 	// commit walk is a single chained event over this state.
@@ -451,7 +450,6 @@ func (d *Directory) Reset(gcfg config.Gating, policy cm.Policy) {
 	d.nextFreeDir = 0
 	d.nextFreeMem = 0
 	d.reads.Clear()
-	d.readPending = false
 	d.commitProc = 0
 	d.commitTID = tokens.TIDNone
 	d.commitLines = nil
@@ -571,8 +569,7 @@ func (d *Directory) HandleRead(proc int, l mem.LineAddr, reply func(version uint
 	memDone := memStart + d.cfg.MemoryCycles
 	d.nextFreeMem = memDone
 	d.reads.Push(readReq{proc: proc, line: l, reply: reply, done: memDone})
-	if !d.readPending {
-		d.readPending = true
+	if d.reads.Len() == 1 {
 		d.eng.Schedule(memDone, d.readFn)
 	}
 }
@@ -580,10 +577,8 @@ func (d *Directory) HandleRead(proc int, l mem.LineAddr, reply func(version uint
 // serviceRead completes the head read (its reservation expires now) and
 // re-arms the chain for the next one.
 func (d *Directory) serviceRead() {
-	d.readPending = false
 	r := d.reads.Pop()
 	if d.reads.Len() > 0 {
-		d.readPending = true
 		d.eng.Schedule(d.reads.Front().done, d.readFn)
 	}
 	ls := d.line(r.line)

@@ -51,13 +51,6 @@ type Config struct {
 	// the cell may be stolen, damping steal ping-pong between idle
 	// workers. Default LeaseTTL/2; negative means no minimum.
 	StealMinAge time.Duration
-	// ProgressInterval is the cadence of OnProgress callbacks from the
-	// Serve background loop. 0 disables them.
-	ProgressInterval time.Duration
-	// OnProgress, when set (with ProgressInterval > 0), periodically
-	// receives a Status snapshot while Serve runs — the hook the CLI's
-	// progress logging uses.
-	OnProgress func(Status)
 	// CheckpointPath, when set, journals every merged cell as one JSONL
 	// line — the exact checkpoint format `cmd/experiments -resume`
 	// reads and writes. Restarting a coordinator (or a single-process
@@ -708,20 +701,14 @@ func (c *Coordinator) Campaign() (*experiments.Campaign, error) {
 	return &experiments.Campaign{Options: c.opts, Cells: c.cells, Outcomes: c.outcomes}, nil
 }
 
-// background runs the expiry sweep (and the optional progress callback)
-// until stop closes. The sweep is what keeps the lease state machine
-// honest with no live workers: a fleet that all died still has its
-// leases reclaimed and reported on the sweep cadence, and /v1/status
-// reflects reality instead of whatever the last lease request saw.
+// background runs the expiry sweep until stop closes. The sweep is what
+// keeps the lease state machine honest with no live workers: a fleet
+// that all died still has its leases reclaimed and reported on the sweep
+// cadence, and /v1/status reflects reality instead of whatever the last
+// lease request saw.
 func (c *Coordinator) background(stop <-chan struct{}) {
 	sweep := time.NewTicker(c.cfg.sweepInterval())
 	defer sweep.Stop()
-	var progress <-chan time.Time
-	if c.cfg.ProgressInterval > 0 && c.cfg.OnProgress != nil {
-		t := time.NewTicker(c.cfg.ProgressInterval)
-		defer t.Stop()
-		progress = t.C
-	}
 	for {
 		select {
 		case <-stop:
@@ -730,8 +717,6 @@ func (c *Coordinator) background(stop <-chan struct{}) {
 			c.mu.Lock()
 			c.reclaimExpired(now)
 			c.mu.Unlock()
-		case <-progress:
-			c.cfg.OnProgress(c.Status())
 		}
 	}
 }
@@ -739,9 +724,9 @@ func (c *Coordinator) background(stop <-chan struct{}) {
 // Serve runs the coordinator on the listener until the campaign
 // completes or ctx is canceled, then returns the merged campaign. While
 // serving, a background loop sweeps expired leases every
-// Config.SweepInterval and emits Config.OnProgress snapshots. After
-// completion the server keeps answering "done" for Config.DrainGrace so
-// polling workers observe the end instead of a vanished server. The
+// Config.SweepInterval. After completion the server keeps answering
+// "done" for Config.DrainGrace so polling workers observe the end
+// instead of a vanished server. The
 // listener is closed on return; the checkpoint journal, if any, is
 // closed too.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*experiments.Campaign, error) {

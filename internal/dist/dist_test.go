@@ -9,8 +9,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -123,6 +125,12 @@ func waitServe(t *testing.T, ch <-chan serveResult) *experiments.Campaign {
 // decodes fingerprint to the value the coordinator carries. The JSON is
 // that coordinator's /v1/campaign answer for testOptions with TraceDir
 // "/x".
+//
+// A coordinator built before sharding was retired may also serve one
+// shard of a campaign. Its options decode, but without the shard they
+// no longer fingerprint to the value it carries, so a worker refuses it
+// as version skew instead of computing cells of the wrong campaign. That
+// JSON is such a coordinator's answer for testOptions with Shard 1/3.
 func TestCampaignInfoDecodesRetiredTraceDir(t *testing.T) {
 	const body = `{"protocol":1,"fingerprint":"75e95f2cd829a0db","options":{"Seed":42,"Scale":0.02,` +
 		`"Processors":[4,8],"Apps":["intruder","genome"],"W0":0,"Banks":0,"Topology":"","Tech":"",` +
@@ -140,6 +148,26 @@ func TestCampaignInfoDecodesRetiredTraceDir(t *testing.T) {
 	}
 	if got, want := info.Options.Fingerprint(), testOptions().Fingerprint(); got != want {
 		t.Fatalf("decoded options fingerprint to %s, testOptions to %s", got, want)
+	}
+
+	const sharded = `{"protocol":1,"fingerprint":"3e2b142e235052a6","options":{"Seed":42,"Scale":0.02,` +
+		`"Processors":[4,8],"Apps":["intruder","genome"],"W0":0,"Banks":0,"Topology":"","Tech":"",` +
+		`"Workers":2,"DeriveSeeds":false,"Shard":{"Index":1,"Count":3},"NoTraceCache":false,` +
+		`"NoSystemReuse":false},"cells":1}`
+	info = CampaignInfo{}
+	if err := json.Unmarshal([]byte(sharded), &info); err != nil {
+		t.Fatalf("decoding the sharded handshake: %v", err)
+	}
+	if got := info.Options.Fingerprint(); got == info.Fingerprint {
+		t.Fatalf("sharded campaign's options fingerprint to the value it carries (%s)", got)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, sharded)
+	}))
+	defer srv.Close()
+	_, err := Work(context.Background(), srv.URL, WorkerOptions{Name: "w", Workers: 1, MaxRetries: -1})
+	if err == nil || !strings.Contains(err.Error(), "version skew") {
+		t.Fatalf("joining a sharded campaign: %v, want a version-skew refusal", err)
 	}
 }
 

@@ -576,12 +576,12 @@ func TestFleetChaosSmoke(t *testing.T) {
 	}
 }
 
-// TestFleetBatchedReturnsByteIdentity pins the worker-side result
-// batching contract: a fleet streaming results back one cell per
-// /v1/return (ReturnBatch=1, maximum partial-return traffic) produces
-// CSV byte-identical to a single in-process session, and the
-// coordinator merges every cell's return.
-func TestFleetBatchedReturnsByteIdentity(t *testing.T) {
+// TestFleetPartialReturnsByteIdentity pins the coordinator's side of
+// partial returns, which protocol 1 allows and workers from older builds
+// still send: one leased cell per /v1/return, each merged once while
+// the lease's other cells stay leased. A plain worker then finishes the
+// campaign, and the CSV must equal a single in-process session's.
+func TestFleetPartialReturnsByteIdentity(t *testing.T) {
 	opts := chaosOptions()
 	want := singleProcessCSV(t, opts)
 	cells := opts.Cells()
@@ -596,34 +596,46 @@ func TestFleetBatchedReturnsByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, serveCh := startCoordinator(t, coord)
+	ctx := context.Background()
 
-	var wg sync.WaitGroup
-	workerErrs := make([]error, 2)
-	for i := range workerErrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, workerErrs[i] = Work(context.Background(), addr, WorkerOptions{
-				Name:        fmt.Sprintf("batcher-%d", i),
-				Workers:     2,
-				MaxBatch:    3,
-				ReturnBatch: 1,
-				RetryBase:   5 * time.Millisecond,
-			})
-		}(i)
+	var grant LeaseResponse
+	if err := postJSON(ctx, http.DefaultClient, "http://"+addr+"/v1/lease",
+		LeaseRequest{Worker: "partial", Max: 3}, &grant); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range workerErrs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+	if len(grant.Cells) != 3 {
+		t.Fatalf("leased %d cells, want 3", len(grant.Cells))
+	}
+	session := experiments.NewSession(opts)
+	defer session.Close()
+	results := runLease(ctx, session, grant.Cells)
+	for i, ret := range results {
+		if ret.Err != "" {
+			t.Fatalf("cell %d: %s", ret.Pos, ret.Err)
+		}
+		var ack ReturnResponse
+		if err := postJSON(ctx, http.DefaultClient, "http://"+addr+"/v1/return",
+			ReturnRequest{LeaseID: grant.LeaseID, Worker: "partial", Results: []CellReturn{ret}}, &ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Accepted != 1 || ack.Duplicates != 0 || ack.Done {
+			t.Fatalf("return %d: %+v, want one cell accepted", i, ack)
+		}
+		st := coord.Status()
+		if left := len(results) - i - 1; st.Leased != left || st.Done != i+1 {
+			t.Fatalf("after return %d: %d leased, %d done; want %d leased, %d done",
+				i, st.Leased, st.Done, left, i+1)
 		}
 	}
 
+	if _, err := Work(ctx, addr, WorkerOptions{Name: "finisher", Workers: 2, RetryBase: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	campaign := waitServe(t, serveCh)
 	if got := campaignCSV(t, campaign); got != want {
-		t.Errorf("CSV with batched returns diverges:\nwant:\n%s\ngot:\n%s", want, got)
+		t.Errorf("CSV with partial returns diverges:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	if st := coord.Stats(); st.Returned != len(cells) {
-		t.Errorf("coordinator merged %d returns, want %d", st.Returned, len(cells))
+	if st := coord.Stats(); st.Returned != len(cells) || st.Duplicates != 0 {
+		t.Errorf("coordinator merged %d returns with %d duplicates, want %d and 0", st.Returned, st.Duplicates, len(cells))
 	}
 }

@@ -195,26 +195,6 @@ func FetchStatus(ctx context.Context, client *http.Client, addr string) (Status,
 	return st, nil
 }
 
-// Progress renders the snapshot as one log line — the shape the CLI's
-// periodic progress logging prints.
-func (st Status) Progress() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d/%d done, %d leased, %d pending", st.Done, st.Cells, st.Leased, st.Pending)
-	if st.CellsPerSec > 0 {
-		fmt.Fprintf(&b, ", %.2f cells/s", st.CellsPerSec)
-		if st.ETAMS > 0 {
-			fmt.Fprintf(&b, ", ETA %s", (time.Duration(st.ETAMS) * time.Millisecond).Round(time.Second))
-		}
-	}
-	if n := len(st.Workers); n > 0 {
-		fmt.Fprintf(&b, ", %d workers", n)
-	}
-	if st.Failed {
-		fmt.Fprintf(&b, ", FAILED: %s", st.Err)
-	}
-	return b.String()
-}
-
 // Summary renders the full snapshot as a human-readable block — what
 // `experiments -status addr` prints.
 func (st Status) Summary() string {

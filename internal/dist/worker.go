@@ -28,14 +28,6 @@ type WorkerOptions struct {
 	// MaxBatch caps the cells requested per lease. Default 2×Workers,
 	// so the local pool stays fed while a return round-trips.
 	MaxBatch int
-	// ReturnBatch streams results back in batches: the worker posts up
-	// to this many finished cells per /v1/return instead of holding the
-	// whole lease until its last cell completes. Returned cells are
-	// settled on the coordinator immediately — an expiring lease
-	// re-leases only the cells still in flight — so smaller batches
-	// waste less work when a worker dies mid-lease. 0 (the default)
-	// returns the whole lease in one post.
-	ReturnBatch int
 	// Client is the HTTP client used to reach the coordinator. Default
 	// a client with a 30s request timeout.
 	Client *http.Client
@@ -211,39 +203,13 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		runCtx, cancelRun := context.WithCancel(ctx)
 		hb := startHeartbeat(runCtx, client, base, name, grant, cancelRun)
 
-		// Results stream back in batches of ReturnBatch cells (the whole
-		// lease when unset). Each batch is a partial return — the
-		// coordinator settles the returned cells and keeps the rest
-		// leased — so a worker lost mid-lease forfeits only the cells it
-		// had not yet flushed.
-		batchSize := o.ReturnBatch
-		if batchSize <= 0 || batchSize > len(grant.Cells) {
-			batchSize = len(grant.Cells)
-		}
 		cells := make([]experiments.Cell, len(grant.Cells))
 		for i, lc := range grant.Cells {
 			cells[i] = lc.Cell
 		}
-		var pending []CellReturn
+		results := make([]CellReturn, 0, len(cells))
 		var cellErr string
-		var flushErr error
-		campaignDone := false
-		flush := func() {
-			if len(pending) == 0 || flushErr != nil || campaignDone {
-				return
-			}
-			var ack ReturnResponse
-			flushErr = retry(ctx, o, &stats, func() error {
-				return postJSON(ctx, client, base+"/v1/return",
-					ReturnRequest{LeaseID: grant.LeaseID, Worker: name, Results: pending}, &ack)
-			})
-			if flushErr == nil {
-				pending = pending[:0]
-				campaignDone = ack.Done
-			}
-		}
-		ch := session.StreamChan(runCtx, cells)
-		for res := range ch {
+		for res := range session.StreamChan(runCtx, cells) {
 			ret := CellReturn{Pos: grant.Cells[res.Pos].Pos}
 			stats.Cells++
 			switch {
@@ -256,18 +222,19 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 			default:
 				ret.Record = experiments.NewCellRecord(res.Cell, res.Outcome)
 			}
-			pending = append(pending, ret)
-			if len(pending) >= batchSize {
-				flush()
-				if flushErr != nil || campaignDone {
-					// Cancel the lease's remaining cells and drain the
-					// stream so no pool worker stays blocked on send.
-					cancelRun()
-					for range ch {
-					}
-					break
-				}
-			}
+			results = append(results, ret)
+		}
+		// The whole lease goes back in one post as soon as its last cell
+		// ends, while the heartbeat still holds the lease. A run cut
+		// short (ctx canceled, or the heartbeat saw the campaign fail)
+		// returns nothing; the checks below report why.
+		var ack ReturnResponse
+		var retErr error
+		if runCtx.Err() == nil && len(results) == len(cells) {
+			retErr = retry(ctx, o, &stats, func() error {
+				return postJSON(ctx, client, base+"/v1/return",
+					ReturnRequest{LeaseID: grant.LeaseID, Worker: name, Results: results}, &ack)
+			})
 		}
 		cancelRun()
 		<-hb.done
@@ -278,13 +245,10 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		if flushErr == nil && !campaignDone {
-			flush()
+		if retErr != nil {
+			return stats, fmt.Errorf("dist: return: %w", retErr)
 		}
-		if flushErr != nil {
-			return stats, fmt.Errorf("dist: return: %w", flushErr)
-		}
-		if campaignDone {
+		if ack.Done {
 			// Done after our own failed cell means the failure ended the
 			// campaign: exit loudly, like the workers that will observe
 			// it via the lease path.

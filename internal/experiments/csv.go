@@ -29,10 +29,10 @@ import (
 // and re-priced rows render identically. Ratio columns whose
 // denominator degenerates to zero (empty ledgers) render "NA", never a
 // literal NaN. The trailing cell columns (w0, contention, seed, case,
-// tech, banks) make sharded and matrix campaigns self-describing: a row
-// identifies its scenario without the Options that produced it. tech is
-// the cell's energy technology point (normalized: the empty sentinel
-// renders as the default point's name). topology is the interconnect
+// tech, banks) make matrix campaigns and appended rows self-describing:
+// a row identifies its scenario without the Options that produced it.
+// tech is the cell's energy technology point (normalized: the empty
+// sentinel renders as the default point's name). topology is the interconnect
 // topology (normalized: "" renders as "bus"); on the point-to-point
 // fabrics the bank_* columns carry one entry per link (mesh/ring: local
 // ports then directional channels) or per port (xbar), and bus_rounds
@@ -58,16 +58,15 @@ func (c *Campaign) WriteCSV(w io.Writer) error {
 	return c.writeCSV(w, true)
 }
 
-// AppendCSV writes the rows only. A sharded campaign writes its CSV with
-// WriteCSV on shard 0 and AppendCSV on the rest, so the per-shard files
-// concatenate into exactly the unsharded WriteCSV output.
+// AppendCSV writes the rows only, so several campaigns' rows accumulate
+// under one header: WriteCSV the first, AppendCSV the rest.
 //
 // When w can be read back (it implements io.ReadSeeker, as *os.File
 // does), AppendCSV first validates that any existing header matches the
 // schema it is about to append and fails cleanly on mismatch — appending
 // rows under a foreign header would produce a silently corrupt
-// concatenation. An empty target (including the plain io.Writer shard
-// buffers) is appended to without a check.
+// concatenation. An empty target (and any plain io.Writer) is appended
+// to without a check.
 func (c *Campaign) AppendCSV(w io.Writer) error {
 	if rs, ok := w.(io.ReadSeeker); ok {
 		if err := validateCSVHeader(rs); err != nil {
@@ -81,7 +80,7 @@ func (c *Campaign) AppendCSV(w io.Writer) error {
 // with a header row, it is exactly this package's CSV header, then
 // positions rs at the end for appending. A first row that is not a
 // header (it does not begin with the header's first column name) is a
-// rows-only shard file, which append-accumulates without a check — data
+// rows-only file, which append-accumulates without a check — data
 // rows can never collide with the header because the first column holds
 // application names, never the literal column name.
 func validateCSVHeader(rs io.ReadSeeker) error {

@@ -41,7 +41,7 @@ func TestWriteCSV(t *testing.T) {
 // TestAppendCSVValidatesFileHeader pins the append-safety contract: when
 // the target can be read back, AppendCSV must refuse a header mismatch
 // instead of producing a silently corrupt concatenation, must accept its
-// own header, and must leave plain writers (shard buffers) untouched.
+// own header, and must leave plain writers untouched.
 func TestAppendCSVValidatesFileHeader(t *testing.T) {
 	c, err := newSession(t, tinyOptions()).Run(context.Background())
 	if err != nil {
@@ -99,14 +99,15 @@ func TestAppendCSVValidatesFileHeader(t *testing.T) {
 		t.Fatalf("%d records after append, want %d", len(records), want)
 	}
 
-	// Empty file: nothing to validate, rows only (the shard-N case).
+	// Empty file: nothing to validate, rows only.
 	f = open("empty.csv", "")
 	if err := c.AppendCSV(f); err != nil {
 		t.Fatalf("AppendCSV refused an empty file: %v", err)
 	}
 	f.Close()
 
-	// Plain writer (no ReadSeeker): legacy concat behavior preserved.
+	// Plain writer (no ReadSeeker): rows only, byte for byte the rows
+	// WriteCSV writes under its header.
 	var b strings.Builder
 	if err := c.AppendCSV(&b); err != nil {
 		t.Fatal(err)
@@ -114,10 +115,13 @@ func TestAppendCSVValidatesFileHeader(t *testing.T) {
 	if strings.Contains(b.String(), "app,processors") {
 		t.Fatal("plain-writer append emitted a header")
 	}
+	if _, rows, _ := strings.Cut(own.String(), "\n"); b.String() != rows {
+		t.Fatalf("AppendCSV rows differ from WriteCSV's:\n--- WriteCSV rows ---\n%s\n--- AppendCSV ---\n%s", rows, b.String())
+	}
 }
 
 // TestAppendCSVAcceptsHeaderlessShardFile pins the accumulate-rows
-// workflow: a shard-N file (rows only, no header) must accept further
+// workflow: a rows-only file (no header) must accept further
 // appends — only an actual mismatched header row is a refusal.
 func TestAppendCSVAcceptsHeaderlessShardFile(t *testing.T) {
 	c, err := newSession(t, tinyOptions()).Run(context.Background())

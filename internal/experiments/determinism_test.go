@@ -10,9 +10,8 @@ import (
 )
 
 // These tests pin the engine's central guarantee: for the same Options,
-// sequential, parallel and sharded-then-concatenated campaigns — and a
-// streamed campaign reordered into canonical order — produce
-// byte-identical reports and CSV.
+// sequential and parallel campaigns — and a streamed campaign reordered
+// into canonical order — produce byte-identical reports and CSV.
 
 func campaignCSV(t *testing.T, o Options) string {
 	t.Helper()
@@ -53,52 +52,6 @@ func TestParallelCampaignByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
-func TestParallelCampaignByteIdenticalWithDerivedSeeds(t *testing.T) {
-	o := quickOptions()
-	o.DeriveSeeds = true
-	o.Workers = 1
-	seq := campaignCSV(t, o)
-	o.Workers = 8
-	if got := campaignCSV(t, o); got != seq {
-		t.Fatalf("derived-seed campaign not schedule-independent:\n--- seq ---\n%s\n--- par ---\n%s", seq, got)
-	}
-	// And derived seeds actually change the workloads vs the shared seed.
-	o.DeriveSeeds = false
-	if campaignCSV(t, o) == seq {
-		t.Fatal("DeriveSeeds had no effect on the campaign")
-	}
-}
-
-func TestShardedCSVConcatenatesToFullCSV(t *testing.T) {
-	o := quickOptions()
-	o.Workers = 4
-	full := campaignCSV(t, o)
-	for _, count := range []int{2, 3, 4} {
-		var parts strings.Builder
-		for idx := 0; idx < count; idx++ {
-			op := o
-			op.Shard = Shard{Index: idx, Count: count}
-			c, err := newSession(t, op).Run(context.Background())
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", idx, count, err)
-			}
-			// Shard 0 carries the header; the rest append rows only.
-			if idx == 0 {
-				err = c.WriteCSV(&parts)
-			} else {
-				err = c.AppendCSV(&parts)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if parts.String() != full {
-			t.Fatalf("%d-way sharded CSV != full CSV:\n--- full ---\n%s\n--- concat ---\n%s",
-				count, full, parts.String())
-		}
-	}
-}
-
 // TestStreamReorderedByteIdenticalToBatch pins the streaming API to the
 // batch one: collecting Session.Stream's completion-order results and
 // reordering them by Pos must reproduce Run's canonical-order campaign —
@@ -113,10 +66,7 @@ func TestStreamReorderedByteIdenticalToBatch(t *testing.T) {
 		op := o
 		op.Workers = workers
 		s := NewSession(op)
-		cells, err := ShardCells(op.Cells(), op.Shard)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cells := op.Cells()
 		outs := make([]*CellResult, len(cells))
 		for res, err := range s.Stream(context.Background(), cells) {
 			if err != nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // This file defines the campaign's unit of work — the run-cell — and the
-// pure enumeration/partitioning logic around it: canonical cell order,
-// per-cell seed derivation, and sharding. Execution lives in session.go:
+// pure enumeration logic around it: canonical cell order and per-cell
+// seed derivation. Execution lives in session.go:
 // a Session owns the worker pool, the trace cache and the checkpoint
 // sink, and every sweep in this package (campaign, scenario matrix,
 // Fig7, multi-seed, ablations) runs its cells through one.
@@ -29,7 +29,7 @@ import (
 type Cell struct {
 	// Index is the cell's position in the campaign's canonical order.
 	// Results are merged by Index, which is what makes parallel and
-	// sharded execution deterministic.
+	// distributed execution deterministic.
 	Index int
 	// ID optionally names the scenario-matrix case this cell executes
 	// (e.g. "M00042"); empty for plain paper campaigns.
@@ -147,27 +147,23 @@ func SplitMix64(x uint64) uint64 {
 }
 
 // CellSeed derives the workload seed of cell index from the campaign
-// seed. The derivation depends only on (campaign seed, cell index), never
-// on execution order, so any partition of the campaign across workers or
-// shards reproduces the same per-cell workloads.
+// seed; scenario-matrix cells take theirs from their matrix ordinal. The
+// derivation depends only on (campaign seed, index), never on execution
+// order, so any partition of a campaign across workers or fleet machines
+// reproduces the same per-cell workloads.
 func CellSeed(campaign uint64, index int) uint64 {
 	return SplitMix64(campaign + uint64(index)*0x9e3779b97f4a7c15)
 }
 
 // Cells enumerates the campaign's run-cells in canonical order (apps
 // outer, processor counts inner — the order the paper's figures present).
-// With DeriveSeeds set, each cell gets an independent seed via CellSeed;
-// otherwise every cell shares the campaign seed, matching the paper's
-// single-seed methodology.
+// Every cell shares the campaign seed, matching the paper's single-seed
+// methodology.
 func (o Options) Cells() []Cell {
 	var cells []Cell
 	for _, app := range o.apps() {
 		for _, np := range o.processors() {
-			c := o.cell(len(cells), app, np)
-			if o.DeriveSeeds {
-				c.Seed = CellSeed(o.Seed, c.Index)
-			}
-			cells = append(cells, c)
+			cells = append(cells, o.cell(len(cells), app, np))
 		}
 	}
 	return cells
@@ -189,49 +185,6 @@ func (o Options) cell(index int, app stamp.App, np int) Cell {
 		Tech:       o.Tech,
 		Seed:       o.Seed,
 	}
-}
-
-// Shard selects one contiguous 1/Count slice of a campaign's cells, for
-// splitting a campaign across machines. The zero value means "the whole
-// campaign". Because shards are contiguous in canonical cell order,
-// concatenating the shard outputs 0..Count-1 reproduces the unsharded
-// output exactly.
-type Shard struct {
-	// Index is this shard's position, 0 <= Index < Count.
-	Index int
-	// Count is the total number of shards; 0 disables sharding.
-	Count int
-}
-
-func (s Shard) enabled() bool { return s.Count != 0 }
-
-// Validate checks the shard coordinates.
-func (s Shard) Validate() error {
-	if !s.enabled() {
-		if s.Index != 0 {
-			return fmt.Errorf("experiments: shard index %d with zero count", s.Index)
-		}
-		return nil
-	}
-	if s.Count < 0 || s.Index < 0 || s.Index >= s.Count {
-		return fmt.Errorf("experiments: shard %d/%d out of range", s.Index, s.Count)
-	}
-	return nil
-}
-
-// ShardCells returns the contiguous slice of cells owned by shard s.
-// Slices are balanced to within one cell.
-func ShardCells(cells []Cell, s Shard) ([]Cell, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if !s.enabled() {
-		return cells, nil
-	}
-	n := len(cells)
-	lo := s.Index * n / s.Count
-	hi := (s.Index + 1) * n / s.Count
-	return cells[lo:hi], nil
 }
 
 func (o Options) workers() int {

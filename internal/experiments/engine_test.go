@@ -34,25 +34,6 @@ func TestCellsCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestCellsDeriveSeeds(t *testing.T) {
-	o := quickOptions()
-	o.DeriveSeeds = true
-	cells := o.Cells()
-	seen := map[uint64]int{}
-	for i, c := range cells {
-		if c.Seed == o.Seed {
-			t.Errorf("cell %d kept the campaign seed", i)
-		}
-		if c.Seed != CellSeed(o.Seed, i) {
-			t.Errorf("cell %d seed %d, want CellSeed(%d, %d)=%d", i, c.Seed, o.Seed, i, CellSeed(o.Seed, i))
-		}
-		if j, dup := seen[c.Seed]; dup {
-			t.Errorf("cells %d and %d share seed %d", j, i, c.Seed)
-		}
-		seen[c.Seed] = i
-	}
-}
-
 func TestSplitMix64KnownValues(t *testing.T) {
 	// Reference values from the canonical SplitMix64 sequence with
 	// state 0: successive outputs of nextSeed() in Vigna's C version.
@@ -74,50 +55,6 @@ func TestCellSeedIndependentOfPartition(t *testing.T) {
 	}
 	if CellSeed(42, 0) == CellSeed(43, 0) {
 		t.Fatal("campaign seed ignored")
-	}
-}
-
-func TestShardCellsPartition(t *testing.T) {
-	cells := make([]Cell, 10)
-	for i := range cells {
-		cells[i] = Cell{Index: i}
-	}
-	for _, count := range []int{1, 2, 3, 4, 7, 10, 11} {
-		total := 0
-		next := 0
-		for idx := 0; idx < count; idx++ {
-			part, err := ShardCells(cells, Shard{Index: idx, Count: count})
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", idx, count, err)
-			}
-			for _, c := range part {
-				if c.Index != next {
-					t.Fatalf("shard %d/%d: cell %d out of order (want %d)", idx, count, c.Index, next)
-				}
-				next++
-			}
-			total += len(part)
-		}
-		if total != len(cells) {
-			t.Fatalf("count=%d covered %d of %d cells", count, total, len(cells))
-		}
-	}
-}
-
-func TestShardValidation(t *testing.T) {
-	cells := []Cell{{}}
-	for _, s := range []Shard{
-		{Index: -1, Count: 2},
-		{Index: 2, Count: 2},
-		{Index: 0, Count: -1},
-		{Index: 1, Count: 0},
-	} {
-		if _, err := ShardCells(cells, s); err == nil {
-			t.Errorf("shard %+v accepted", s)
-		}
-	}
-	if _, err := ShardCells(cells, Shard{}); err != nil {
-		t.Errorf("zero shard rejected: %v", err)
 	}
 }
 
@@ -163,37 +100,6 @@ func TestRunCellsErrorIsDeterministic(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "cell 1") || !strings.Contains(err.Error(), "no-such-app") {
 			t.Errorf("workers=%d: error %q does not name the lowest failing cell", workers, err)
-		}
-	}
-}
-
-func TestRunShardedCampaign(t *testing.T) {
-	o := quickOptions()
-	full, err := newSession(t, o).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*Campaign
-	for i := 0; i < 2; i++ {
-		op := o
-		op.Shard = Shard{Index: i, Count: 2}
-		c, err := newSession(t, op).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, c)
-	}
-	if len(got[0].Outcomes)+len(got[1].Outcomes) != len(full.Outcomes) {
-		t.Fatalf("shards cover %d+%d of %d cells",
-			len(got[0].Outcomes), len(got[1].Outcomes), len(full.Outcomes))
-	}
-	k := 0
-	for _, c := range got {
-		for i := range c.Outcomes {
-			if c.Outcomes[i].Comparison != full.Outcomes[k].Comparison {
-				t.Errorf("shard outcome %d diverges from full campaign", k)
-			}
-			k++
 		}
 	}
 }

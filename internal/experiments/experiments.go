@@ -56,14 +56,6 @@ type Options struct {
 	// fewer means sequential. Results are merged in canonical cell
 	// order, so every worker count produces byte-identical output.
 	Workers int
-	// DeriveSeeds gives each run-cell an independent seed derived from
-	// Seed via CellSeed (SplitMix64 of seed and cell index) instead of
-	// sharing Seed across all cells as the paper does.
-	DeriveSeeds bool
-	// Shard restricts the campaign to one contiguous slice of its
-	// cells, for splitting a campaign across machines. The zero value
-	// runs everything.
-	Shard Shard
 	// NoTraceCache disables the session's cross-cell cache of traces and
 	// ungated baselines. Every cell then regenerates its trace and runs
 	// its own ungated baseline. Results are identical either way; this

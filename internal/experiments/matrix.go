@@ -118,7 +118,7 @@ type Scenario struct {
 	// Ord is the scenario's ordinal in the full matrix (ID minus one).
 	// Per-scenario seeds derive from the campaign seed and Ord, so a
 	// case's workload is the same whether it runs alone, in a subset,
-	// or in a shard.
+	// or on a fleet.
 	Ord int
 	// App is the workload preset.
 	App stamp.App
@@ -522,16 +522,12 @@ func (o Options) ScenarioCells(scenarios []Scenario) []Cell {
 }
 
 // RunScenarios executes the given scenarios as one campaign on the
-// session's worker pool (honoring the options' Workers and Shard).
-// Scenario seeds derive from the campaign seed and each scenario's matrix
-// ordinal; Scale applies as usual. Figures, tables and CSV label rows by
-// case id.
+// session's worker pool. Scenario seeds derive from the campaign seed and
+// each scenario's matrix ordinal; Scale applies as usual. Figures, tables
+// and CSV label rows by case id.
 func (s *Session) RunScenarios(ctx context.Context, scenarios []Scenario) (*Campaign, error) {
 	o := s.opts
-	cells, err := ShardCells(o.ScenarioCells(scenarios), o.Shard)
-	if err != nil {
-		return nil, err
-	}
+	cells := o.ScenarioCells(scenarios)
 	outs, err := s.RunCells(ctx, cells)
 	if err != nil {
 		return nil, err

@@ -63,10 +63,7 @@ func (s *Session) MultiSeed(ctx context.Context, seeds []uint64) (*MultiSeedSumm
 	for i, seed := range seeds {
 		opt := s.opts
 		opt.Seed = seed
-		cells, err := ShardCells(opt.Cells(), opt.Shard)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: seed %d: %w", seed, err)
-		}
+		cells := opt.Cells()
 		starts[i] = len(all)
 		perSeed[i] = cells
 		all = append(all, cells...)

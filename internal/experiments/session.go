@@ -124,9 +124,11 @@ func (o Options) Fingerprint() string {
 		w0 = matrixDefaultW0
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "seed=%d scale=%g w0=%d derive=%t shard=%d/%d apps=%v procs=%v banks=%d tech=%s topology=%s",
-		o.Seed, scale, w0, o.DeriveSeeds, o.Shard.Index, o.Shard.Count,
-		o.apps(), o.processors(), o.Banks, energy.CanonicalName(o.Tech),
+	// "derive=false shard=0/0" are the values of two retired options,
+	// kept so every fingerprint the remaining options express keeps its
+	// bytes.
+	fmt.Fprintf(h, "seed=%d scale=%g w0=%d derive=false shard=0/0 apps=%v procs=%v banks=%d tech=%s topology=%s",
+		o.Seed, scale, w0, o.apps(), o.processors(), o.Banks, energy.CanonicalName(o.Tech),
 		canonicalTopology(o.Topology))
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
@@ -277,13 +279,9 @@ func (s *Session) RunCells(ctx context.Context, cells []Cell) ([]*core.Outcome, 
 }
 
 // Run executes the session's configured campaign — the options' cell
-// grid, restricted to the options' shard — and returns it in canonical
-// cell order.
+// grid — and returns it in canonical cell order.
 func (s *Session) Run(ctx context.Context) (*Campaign, error) {
-	cells, err := ShardCells(s.opts.Cells(), s.opts.Shard)
-	if err != nil {
-		return nil, err
-	}
+	cells := s.opts.Cells()
 	outs, err := s.RunCells(ctx, cells)
 	if err != nil {
 		return nil, err

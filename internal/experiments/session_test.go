@@ -214,10 +214,7 @@ func checkpointCSV(t *testing.T, o Options, path string, stopAfter int) (string,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cells, err := ShardCells(o.Cells(), o.Shard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := o.Cells()
 	outs := make([]*CellResult, len(cells))
 	delivered := 0
 	interrupted := false
@@ -458,7 +455,6 @@ func TestFingerprintNormalizesSentinels(t *testing.T) {
 		"seed":  {Seed: 43},
 		"scale": {Seed: 42, Scale: 0.5},
 		"w0":    {Seed: 42, W0: 2},
-		"shard": {Seed: 42, Shard: Shard{Index: 0, Count: 2}},
 	} {
 		if o.Fingerprint() == base.Fingerprint() {
 			t.Errorf("%s change did not alter the fingerprint", name)
@@ -479,17 +475,15 @@ func TestOptionsFingerprintPinned(t *testing.T) {
 	}{
 		{"DefaultOptions", DefaultOptions(), "4556974aab3a5a06"},
 		{"every result-relevant field", Options{
-			Seed:        7,
-			Scale:       0.25,
-			Processors:  []int{8, 64},
-			Apps:        []stamp.App{stamp.Intruder, stamp.Vacation},
-			W0:          16,
-			Banks:       4,
-			Topology:    "mesh:2x4",
-			Tech:        "t45",
-			DeriveSeeds: true,
-			Shard:       Shard{Index: 1, Count: 3},
-		}, "55a20e66ea93c2ce"},
+			Seed:       7,
+			Scale:      0.25,
+			Processors: []int{8, 64},
+			Apps:       []stamp.App{stamp.Intruder, stamp.Vacation},
+			W0:         16,
+			Banks:      4,
+			Topology:   "mesh:2x4",
+			Tech:       "t45",
+		}, "28c1427557782625"},
 	} {
 		if got := tc.o.Fingerprint(); got != tc.want {
 			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
