@@ -84,10 +84,12 @@
 //	stats, err := clockgate.Work(ctx, "coordinator:7400", clockgate.WorkerConfig{})
 //
 // The fleet is elastic: live workers heartbeat their leases so a cell
-// slower than the TTL is never re-run, dead workers are reclaimed by a
-// background expiry sweep, stragglers near the end of a campaign can be
-// re-leased to idle workers (ServeConfig.StealThreshold), and workers
-// ride out transient coordinator outages with bounded retries. A
+// slower than the TTL is never re-run, a dead worker's cells are
+// reclaimed once its lease deadline passes (every request and status
+// read reclaims expired leases first), stragglers near the end of a
+// campaign can be re-leased to idle workers
+// (ServeConfig.StealThreshold), and workers ride out transient
+// coordinator outages with bounded retries. A
 // running coordinator is observable via FetchFleetStatus (GET
 // /v1/status) and a Prometheus-style GET /metrics.
 //
@@ -518,13 +520,14 @@ func ScenarioByName(name string) (Scenario, bool) { return experiments.ScenarioB
 // ServeConfig tunes a distributed campaign coordinator: lease TTL and
 // batch size, worker poll interval, the post-completion drain grace, an
 // optional JSONL journal path (the -resume checkpoint format), the
-// background expiry-sweep interval, the straggler-stealing threshold,
-// and an OnListen hook reporting the bound address.
+// straggler-stealing threshold and minimum age, and an OnListen hook
+// reporting the bound address.
 type ServeConfig = dist.Config
 
 // WorkerConfig tunes a distributed campaign worker: its name, the local
-// session pool width, the lease batch size, the HTTP client, and the
-// transient-failure retry policy.
+// session pool width (a lease request asks for twice as many cells), the
+// HTTP client, and the first backoff delay of its transient-failure
+// retries.
 type WorkerConfig = dist.WorkerOptions
 
 // WorkerStats summarizes one worker's participation in a distributed

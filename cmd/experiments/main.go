@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -61,41 +62,101 @@ import (
 	"repro/internal/stamp"
 )
 
+// The command's flags live at package level so that a test can parse a
+// command line against them.
+var (
+	all        = flag.Bool("all", false, "regenerate everything")
+	table1     = flag.Bool("table1", false, "Table I: power model")
+	table2     = flag.Bool("table2", false, "Table II: simulation parameters")
+	fig3       = flag.Bool("fig3", false, "Figure 3: TCC data cache power")
+	fig4       = flag.Bool("fig4", false, "Figure 4: parallel execution time")
+	fig5       = flag.Bool("fig5", false, "Figure 5: energy consumption")
+	fig6       = flag.Bool("fig6", false, "Figure 6: average power dissipation")
+	fig7       = flag.Bool("fig7", false, "Figure 7: speed-up vs W0 and Np")
+	summary    = flag.Bool("summary", false, "headline summary vs the paper")
+	detail     = flag.Bool("detail", false, "per-configuration detail table")
+	ablation   = flag.Bool("ablations", false, "policy / renewal / SRPG ablation tables")
+	extended   = flag.Bool("extended", false, "run the five extension presets too")
+	seeds      = flag.Int("seeds", 0, "re-run the campaign across N seeds and report spread")
+	csvPath    = flag.String("csv", "", "also write per-configuration results to this CSV file")
+	seed       = flag.Uint64("seed", 42, "workload generation seed")
+	scale      = flag.Float64("scale", 1.0, "workload size multiplier")
+	workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign worker goroutines (1 = sequential; output is identical either way)")
+	procs      = flag.String("procs", "", "comma-separated processor counts overriding the paper's 4,8,16 sweep (up to 128, e.g. \"32,64,128\")")
+	banks      = flag.Int("banks", 0, "interconnect banks: 0 = the single split bus, a power of two = the address-interleaved banked bus (cells that pin their own shape, like matrix cases M00721+, keep it)")
+	topology   = flag.String("topology", "", "interconnect topology: \"bus\" (default), \"xbar[:N]\", \"mesh[:RxC]\" or \"ring[:N]\"; non-bus fabrics require -banks 0 (cells that pin their own shape, like matrix cases M00801+, keep it)")
+	matrix     = flag.String("matrix", "", "run scenario-matrix cases: comma-separated ids/names, \"done\", or \"all\"")
+	matrixList = flag.Bool("matrix-list", false, "list every scenario-matrix case")
+	e2eDoc     = flag.Bool("e2e-doc", false, "print the generated docs/E2E.md")
+	resume     = flag.String("resume", "", "JSONL checkpoint file: completed cells are appended as they finish and an interrupted run restarts at the first incomplete cell")
+	serve      = flag.String("serve", "", "coordinate a distributed campaign on this listen address (e.g. \":7400\"): cells are leased to -worker processes and merged byte-identically to a local run; with -resume the file doubles as the coordinator journal")
+	worker     = flag.String("worker", "", "join the coordinator at this address (host:port) and execute leased cells on a local session with -workers goroutines")
+	status     = flag.String("status", "", "print the /v1/status snapshot of the coordinator at this address (host:port) and exit")
+	steal      = flag.Int("steal", 8, "with -serve: once at most N unfinished cells remain and none are pending, re-lease the oldest in-flight cells to idle workers (straggler stealing; 0 disables)")
+	tech       = flag.String("tech", "", "energy technology point pricing the campaign's cells (see -tech-list; default: the paper's Table I point); with -reprice, a comma-separated list re-prices the journal under each point; \"@file.json\" elements load user-defined points from a JSON file")
+	techList   = flag.Bool("tech-list", false, "list the registered energy technology points, plus any that -tech @file.json loads, and their model derivations")
+	reprice    = flag.String("reprice", "", "re-price the cells of this checkpoint/fleet journal under -tech WITHOUT re-simulating (pure checkpoint arithmetic; combines with -detail/-summary/-csv)")
+)
+
+// mode is one row of the table of flag combinations: the flags that
+// select the mode, and the flags it accepts beside them.
+type mode struct {
+	flags   []string
+	accepts []string
+}
+
+// modes is the one table of the flag combinations the command accepts.
+// The first row whose flags are all set selects the mode, and every
+// other flag set must be one that row accepts; the last row, with no
+// flags, is a local run. A row accepts exactly the flags its mode uses,
+// so no flag is dropped silently.
+var modes = []mode{
+	{[]string{"e2e-doc"}, nil},
+	{[]string{"matrix-list"}, nil},
+	{[]string{"tech-list"}, []string{"tech"}},
+	{[]string{"status"}, nil},
+	{[]string{"worker"}, []string{"workers"}},
+	{[]string{"reprice"}, []string{"tech", "detail", "summary", "csv"}},
+	// Each matrix case pins its processor count, so -procs has nothing
+	// to set.
+	{[]string{"serve", "matrix"}, []string{"detail", "summary", "csv", "seed", "scale", "banks", "topology", "tech", "resume", "steal"}},
+	{[]string{"serve"}, []string{"detail", "summary", "csv", "seed", "scale", "procs", "banks", "topology", "tech", "resume", "steal"}},
+	{[]string{"matrix"}, []string{"detail", "summary", "csv", "workers", "seed", "scale", "banks", "topology", "tech", "resume"}},
+	{nil, []string{"all", "table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "summary", "detail", "ablations",
+		"extended", "seeds", "csv", "seed", "scale", "workers", "procs", "banks", "topology", "resume", "tech"}},
+}
+
+// checkModes checks the flags set on fs against the modes table.
+func checkModes(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	for _, m := range modes {
+		if slices.ContainsFunc(m.flags, func(f string) bool { return !slices.Contains(set, f) }) {
+			continue // some flag of this mode is not set
+		}
+		for _, name := range set {
+			if slices.Contains(m.flags, name) || slices.Contains(m.accepts, name) {
+				continue
+			}
+			what := "a local run"
+			if len(m.flags) > 0 {
+				what = "-" + strings.Join(m.flags, " -")
+			}
+			if len(m.accepts) == 0 {
+				return fmt.Errorf("-%s does not combine with %s, which takes no other flag", name, what)
+			}
+			return fmt.Errorf("-%s does not combine with %s, which combines only with -%s", name, what, strings.Join(m.accepts, "/-"))
+		}
+		return nil
+	}
+	return nil
+}
+
 func main() {
-	var (
-		all        = flag.Bool("all", false, "regenerate everything")
-		table1     = flag.Bool("table1", false, "Table I: power model")
-		table2     = flag.Bool("table2", false, "Table II: simulation parameters")
-		fig3       = flag.Bool("fig3", false, "Figure 3: TCC data cache power")
-		fig4       = flag.Bool("fig4", false, "Figure 4: parallel execution time")
-		fig5       = flag.Bool("fig5", false, "Figure 5: energy consumption")
-		fig6       = flag.Bool("fig6", false, "Figure 6: average power dissipation")
-		fig7       = flag.Bool("fig7", false, "Figure 7: speed-up vs W0 and Np")
-		summary    = flag.Bool("summary", false, "headline summary vs the paper")
-		detail     = flag.Bool("detail", false, "per-configuration detail table")
-		ablation   = flag.Bool("ablations", false, "policy / renewal / SRPG ablation tables")
-		extended   = flag.Bool("extended", false, "run the five extension presets too")
-		seeds      = flag.Int("seeds", 0, "re-run the campaign across N seeds and report spread")
-		csvPath    = flag.String("csv", "", "also write per-configuration results to this CSV file")
-		seed       = flag.Uint64("seed", 42, "workload generation seed")
-		scale      = flag.Float64("scale", 1.0, "workload size multiplier")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign worker goroutines (1 = sequential; output is identical either way)")
-		procs      = flag.String("procs", "", "comma-separated processor counts overriding the paper's 4,8,16 sweep (up to 128, e.g. \"32,64,128\")")
-		banks      = flag.Int("banks", 0, "interconnect banks: 0 = the single split bus, a power of two = the address-interleaved banked bus (cells that pin their own shape, like matrix cases M00721+, keep it)")
-		topology   = flag.String("topology", "", "interconnect topology: \"bus\" (default), \"xbar[:N]\", \"mesh[:RxC]\" or \"ring[:N]\"; non-bus fabrics require -banks 0 (cells that pin their own shape, like matrix cases M00801+, keep it)")
-		matrix     = flag.String("matrix", "", "run scenario-matrix cases: comma-separated ids/names, \"done\", or \"all\"")
-		matrixList = flag.Bool("matrix-list", false, "list every scenario-matrix case")
-		e2eDoc     = flag.Bool("e2e-doc", false, "print the generated docs/E2E.md")
-		resume     = flag.String("resume", "", "JSONL checkpoint file: completed cells are appended as they finish and an interrupted run restarts at the first incomplete cell")
-		serve      = flag.String("serve", "", "coordinate a distributed campaign on this listen address (e.g. \":7400\"): cells are leased to -worker processes and merged byte-identically to a local run; with -resume the file doubles as the coordinator journal")
-		worker     = flag.String("worker", "", "join the coordinator at this address (host:port) and execute leased cells on a local session with -workers goroutines")
-		status     = flag.String("status", "", "print the /v1/status snapshot of the coordinator at this address (host:port) and exit")
-		steal      = flag.Int("steal", 8, "with -serve: once at most N unfinished cells remain and none are pending, re-lease the oldest in-flight cells to idle workers (straggler stealing; 0 disables)")
-		tech       = flag.String("tech", "", "energy technology point pricing the campaign's cells (see -tech-list; default: the paper's Table I point); with -reprice, a comma-separated list re-prices the journal under each point; \"@file.json\" elements load user-defined points from a JSON file")
-		techList   = flag.Bool("tech-list", false, "list the registered energy technology points, plus any that -tech @file.json loads, and their model derivations")
-		reprice    = flag.String("reprice", "", "re-price the cells of this checkpoint/fleet journal under -tech WITHOUT re-simulating (pure checkpoint arithmetic; combines with -detail/-summary/-csv)")
-	)
 	flag.Parse()
+	if err := checkModes(flag.CommandLine); err != nil {
+		fatal(err)
+	}
 
 	if *all {
 		*table1, *table2, *fig3, *fig4, *fig5, *fig6, *fig7 = true, true, true, true, true, true, true
@@ -144,9 +205,6 @@ func main() {
 	if *worker != "" {
 		// Worker mode: no local campaign at all — join the coordinator
 		// and execute leased cells until it reports the campaign done.
-		if *serve != "" {
-			fatal(fmt.Errorf("-worker and -serve are mutually exclusive (one process, one role)"))
-		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		st, err := dist.Work(ctx, *worker, dist.WorkerOptions{Workers: *workers})
@@ -240,10 +298,6 @@ func main() {
 		// Reprice mode: no simulation at all — the journal's residency
 		// totals are re-priced under each requested technology point, and
 		// the output is byte-identical to fresh simulated runs under them.
-		if *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *fig7 ||
-			*ablation || *extended || *seeds > 0 || *matrix != "" || *serve != "" {
-			fatal(fmt.Errorf("-reprice combines only with -tech/-detail/-summary/-csv"))
-		}
 		campaign, err := experiments.RepriceFile(*reprice, techs)
 		if err != nil {
 			fatal(err)
@@ -269,9 +323,6 @@ func main() {
 		// Coordinator mode: the campaign's cells execute on -worker
 		// processes instead of the local session; the merged output is
 		// byte-identical to a local run of the same flags.
-		if *table1 || *table2 || *fig3 || *fig7 || *ablation || *extended || *seeds > 0 {
-			fatal(fmt.Errorf("-serve combines only with -matrix/-detail/-summary/-csv/-seed/-scale/-procs/-banks/-topology/-resume; run figures and tables locally"))
-		}
 		var cells []experiments.Cell
 		if *matrix != "" {
 			scenarios, err := selectScenarios(*matrix)
@@ -316,12 +367,7 @@ func main() {
 	}
 
 	if *matrix != "" {
-		// A matrix run replaces the paper campaign; combining it with
-		// figure/table artifacts would silently drop them, so refuse.
-		if *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *fig7 ||
-			*ablation || *extended || *seeds > 0 {
-			fatal(fmt.Errorf("-matrix combines only with -detail/-summary/-csv/-workers/-seed/-scale; run figures and tables separately"))
-		}
+		// A matrix run replaces the paper campaign.
 		scenarios, err := selectScenarios(*matrix)
 		if err != nil {
 			fatal(err)

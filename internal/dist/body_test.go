@@ -6,13 +6,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/bus"
+	"repro/internal/config"
+	"repro/internal/energy"
 	"repro/internal/experiments"
+	"repro/internal/sim"
+	"repro/internal/stamp"
+	"repro/internal/stats"
 )
 
 // computedReturns runs the first two cells of testOptions and returns
@@ -77,30 +84,38 @@ func (s *spaces) Read(p []byte) (int, error) {
 }
 
 // TestCoordinatorBoundsReturnBody: a /v1/return body may be as long as
-// the journal line bound. A valid return merges; the same return padded
-// with JSON whitespace to one byte over the bound is refused with 413,
-// unread, and merges nothing.
+// LeaseBatch journal lines, since a return carries at most one lease. A
+// valid return merges; the same return padded with JSON whitespace to one
+// byte over the bound is refused with 413 and merges nothing, whether its
+// Content-Length announces the size (the body is then left unread) or
+// its length is unknown.
 func TestCoordinatorBoundsReturnBody(t *testing.T) {
 	body, err := json.Marshal(ReturnRequest{Worker: "w", Results: computedReturns(t)[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	head, tail := body[:len(body)-1], body[len(body)-1:] // pad before the closing brace
+	over := Config{}.maxReturnBody() + 1
 	for _, tc := range []struct {
 		name     string
 		size     int64
+		known    bool
 		code     int
 		returned int
 	}{
-		{"unpadded", int64(len(body)), http.StatusOK, 1},
-		{"one byte over the bound", experiments.MaxJournalLine + 1, http.StatusRequestEntityTooLarge, 0},
+		{"unpadded", int64(len(body)), true, http.StatusOK, 1},
+		{"one byte over the bound", over, true, http.StatusRequestEntityTooLarge, 0},
+		{"one byte over the bound, length unknown", over, false, http.StatusRequestEntityTooLarge, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newReturnCoordinator(t)
 			before := statusSnapshot(c)
 			req := httptest.NewRequest(http.MethodPost, "/v1/return",
 				io.MultiReader(bytes.NewReader(head), &spaces{n: tc.size - int64(len(body))}, bytes.NewReader(tail)))
-			req.ContentLength = tc.size
+			req.ContentLength = -1
+			if tc.known {
+				req.ContentLength = tc.size
+			}
 			rec := httptest.NewRecorder()
 			c.Handler().ServeHTTP(rec, req)
 			if rec.Code != tc.code {
@@ -114,6 +129,112 @@ func TestCoordinatorBoundsReturnBody(t *testing.T) {
 			}
 		})
 	}
+}
+
+// widen sets every number in v to its widest JSON form: signed integers
+// to their minimum, unsigned ones to their maximum, and floats to 17
+// significant digits just above 1e-6, which encoding/json writes in 25
+// bytes without an exponent.
+func widen(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(math.MinInt64)
+	case reflect.Uint64:
+		v.SetUint(math.MaxUint64)
+	case reflect.Float64:
+		v.SetFloat(-1.2345678901234567e-06)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			widen(v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			widen(v.Index(i))
+		}
+	}
+}
+
+func longest[S ~string](names []S) S {
+	var out S
+	for _, n := range names {
+		if len(n) > len(out) {
+			out = n
+		}
+	}
+	return out
+}
+
+// widestRecord bounds every record a cell can produce: the most
+// processors, the interconnect with the most per-link counters, the
+// longest built-in names and every number at its widest.
+func widestRecord() experiments.CellRecord {
+	type shape struct {
+		banks    int
+		topology string
+	}
+	shapes := []shape{{config.MaxBanks, "bus"}, {0, "xbar"}, {0, "ring"}}
+	// For a given row count a mesh has the most links at the most
+	// columns, so these shapes cover every mesh.
+	for r := 1; r <= config.MaxProcessors; r++ {
+		shapes = append(shapes, shape{0, fmt.Sprintf("mesh:%dx%d", r, config.MaxProcessors/r)})
+	}
+	links, topologies := 0, []string{}
+	for _, sh := range shapes {
+		ic := bus.NewInterconnect(sim.NewEngine(), 1, sh.banks, config.MaxProcessors, sh.topology)
+		links = max(links, len(ic.BankStats()))
+		topologies = append(topologies, sh.topology)
+	}
+	var ids []string
+	for _, sc := range experiments.Matrix() {
+		ids = append(ids, sc.ID)
+	}
+	run := func() experiments.RunRecord {
+		return experiments.RunRecord{
+			Residency: make([][stats.NumStates]sim.Time, config.MaxProcessors),
+			TraceName: string(longest(stamp.AllApps())),
+			BankBus:   make([]bus.Stats, links),
+		}
+	}
+	rec := experiments.CellRecord{
+		Cell: experiments.Cell{
+			ID:         longest(ids),
+			App:        longest(stamp.AllApps()),
+			Contention: experiments.ContentionHigh,
+			Topology:   longest(topologies),
+			Tech:       longest(energy.Names()),
+			Variant:    experiments.PolicyVariant(config.PolicyGatingAware),
+		},
+		Ungated: run(),
+		Gated:   run(),
+	}
+	widen(reflect.ValueOf(&rec).Elem())
+	return rec
+}
+
+// TestWidestRecordFitsBounds: the widest record fits one journal line,
+// and a return of a whole default lease of them fits the /v1/return
+// bound.
+func TestWidestRecordFitsBounds(t *testing.T) {
+	rec := widestRecord()
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(line) >= experiments.MaxJournalLine {
+		t.Errorf("the widest record takes %d bytes, a journal line at most %d", len(line), experiments.MaxJournalLine)
+	}
+	results := make([]CellReturn, Config{}.leaseBatch())
+	for i := range results {
+		results[i] = CellReturn{Pos: math.MinInt, Record: rec}
+	}
+	body, err := json.Marshal(ReturnRequest{LeaseID: math.MaxUint64, Worker: "w", Results: results})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := (Config{}).maxReturnBody(); int64(len(body)) > bound {
+		t.Errorf("a return of %d widest records takes %d bytes, the bound is %d", len(results), len(body), bound)
+	}
+	t.Logf("widest record %d bytes; a return of %d of them %d bytes", len(line), len(results), len(body))
 }
 
 // FuzzCoordinatorReturn posts arbitrary bodies to a fresh coordinator's

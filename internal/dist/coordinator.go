@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,11 +35,6 @@ type Config struct {
 	// after the campaign completes, so polling workers observe the end
 	// instead of a vanished server. Default 1s.
 	DrainGrace time.Duration
-	// SweepInterval is the period of the background expiry sweep Serve
-	// runs: deadline-passed leases are reclaimed on this cadence even
-	// when no worker is asking for work (the lease path still reclaims
-	// lazily too). Default LeaseTTL/4, clamped to [25ms, 15s].
-	SweepInterval time.Duration
 	// StealThreshold enables straggler re-lease (work stealing): when at
 	// most StealThreshold cells remain, none are pending, and an idle
 	// worker asks for work, the coordinator re-leases the oldest
@@ -91,18 +87,11 @@ func (c Config) drainGrace() time.Duration {
 	return time.Second
 }
 
-func (c Config) sweepInterval() time.Duration {
-	if c.SweepInterval > 0 {
-		return c.SweepInterval
-	}
-	iv := c.leaseTTL() / 4
-	if iv < 25*time.Millisecond {
-		iv = 25 * time.Millisecond
-	}
-	if iv > 15*time.Second {
-		iv = 15 * time.Second
-	}
-	return iv
+// maxReturnBody bounds a /v1/return body. A return carries at most one
+// lease, so at most LeaseBatch records, each no longer than a journal
+// line.
+func (c Config) maxReturnBody() int64 {
+	return int64(c.leaseBatch()) * experiments.MaxJournalLine
 }
 
 func (c Config) stealMinAge() time.Duration {
@@ -115,26 +104,27 @@ func (c Config) stealMinAge() time.Duration {
 	return c.leaseTTL() / 2
 }
 
-// Stats counts coordinator activity.
+// Stats counts coordinator activity. Status embeds it, so the json
+// tags name the /v1/status keys.
 type Stats struct {
 	// Leases is the number of non-empty lease grants.
-	Leases int
+	Leases int `json:"leases"`
 	// Expired counts leases reclaimed after their deadline passed with
 	// cells unfinished.
-	Expired int
+	Expired int `json:"expired"`
 	// Returned counts cell results merged into the campaign.
-	Returned int
+	Returned int `json:"returned"`
 	// Duplicates counts returned results discarded because the cell was
 	// already complete (the dedup-on-re-lease rule).
-	Duplicates int
+	Duplicates int `json:"duplicates"`
 	// Restored counts cells restored from the checkpoint journal at
 	// startup instead of leased out.
-	Restored int
+	Restored int `json:"restored"`
 	// Renewals counts granted /v1/renew deadline extensions.
-	Renewals int
+	Renewals int `json:"renewals"`
 	// Steals counts cells re-leased to an idle worker while still
 	// in-flight on another (the straggler re-lease rule).
-	Steals int
+	Steals int `json:"steals"`
 }
 
 // cellPhase is the lease state machine of one cell:
@@ -166,24 +156,11 @@ type lease struct {
 }
 
 // workerCounters is the per-worker accounting behind Status.Workers,
-// keyed by the free-form worker name.
+// keyed by the free-form worker name: the row's counters, and the time
+// LastSeenMS is measured from.
 type workerCounters struct {
-	leases     int
-	returned   int
-	duplicates int
-	renewals   int
-	steals     int
-	expired    int
-	lastSeen   time.Time
-}
-
-// journalEntry is one merged cell queued for the checkpoint journal:
-// appended under c.mu (so the queue carries the merge order), written
-// outside it (so fsync-grade I/O never stalls leases and returns).
-type journalEntry struct {
-	pos  int
-	cell experiments.Cell
-	out  *core.Outcome
+	WorkerStatus
+	lastSeen time.Time
 }
 
 // Coordinator owns one campaign's canonical cell list and runs its lease
@@ -207,13 +184,8 @@ type Coordinator struct {
 	stats     Stats
 	workers   map[string]*workerCounters
 	ckpt      *experiments.Checkpoint
-	journalQ  []journalEntry
 	done      chan struct{}
 	failed    bool
-
-	// journalMu serializes journal flushes; held without c.mu so a slow
-	// disk blocks only other flushers, never the lease/return paths.
-	journalMu sync.Mutex
 }
 
 // NewCoordinator builds a coordinator for the given cells — the
@@ -265,6 +237,7 @@ func NewCoordinator(opts experiments.Options, cells []experiments.Cell, cfg Conf
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reclaimExpired(time.Now())
 	return c.stats
 }
 
@@ -328,7 +301,7 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, _ *http.Request) {
 func (c *Coordinator) workerLocked(name string, now time.Time) *workerCounters {
 	wk := c.workers[name]
 	if wk == nil {
-		wk = &workerCounters{}
+		wk = &workerCounters{WorkerStatus: WorkerStatus{Name: name}}
 		c.workers[name] = wk
 	}
 	wk.lastSeen = now
@@ -346,12 +319,13 @@ func (c *Coordinator) closeDoneLocked() {
 }
 
 // reclaimExpired returns every cell of every deadline-passed lease to
-// the pending pool. Called with mu held — lazily from the lease path,
-// and periodically from Serve's background sweep, so a fleet whose
-// workers all died still reclaims (and reports) the leases without
-// waiting for a live worker to ask for work. Cells whose ownership
-// moved to a newer lease (a renewal keeps ownership; a steal moves it)
-// are left alone: only the current owner's deadline matters.
+// the pending pool. Called with mu held by every path that reads or
+// changes lease state (lease, renew, return, Status, Stats) before it
+// does, so each sees exactly what a sweep at that instant would have
+// left: a fleet whose workers all died still reports its leases expired
+// without a live worker asking for work. Cells whose ownership moved to
+// a newer lease (a renewal keeps ownership; a steal moves it) are left
+// alone: only the current owner's deadline matters.
 func (c *Coordinator) reclaimExpired(now time.Time) {
 	for id, l := range c.leases {
 		if now.Before(l.deadline) {
@@ -369,7 +343,7 @@ func (c *Coordinator) reclaimExpired(now time.Time) {
 		if expired {
 			c.stats.Expired++
 			if wk := c.workers[l.worker]; wk != nil {
-				wk.expired++
+				wk.Expired++
 			}
 		}
 	}
@@ -487,10 +461,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.owner[pos] = l.id
 	}
 	c.stats.Leases++
-	wk.leases++
+	wk.Leases++
 	if stolen > 0 {
 		c.stats.Steals += stolen
-		wk.steals += stolen
+		wk.Steals += stolen
 	}
 	writeJSON(w, LeaseResponse{
 		LeaseID:    l.id,
@@ -522,6 +496,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
+	c.reclaimExpired(now)
 	l, ok := c.leases[req.LeaseID]
 	if !ok {
 		writeJSON(w, RenewResponse{Expired: true})
@@ -529,26 +504,22 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	}
 	l.deadline = now.Add(c.cfg.leaseTTL())
 	c.stats.Renewals++
-	c.workerLocked(req.Worker, now).renewals++
+	c.workerLocked(req.Worker, now).Renewals++
 	writeJSON(w, RenewResponse{DeadlineMS: c.cfg.leaseTTL().Milliseconds()})
 }
 
 func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
-	// A return may be as long as the longest journal line, so it can
-	// carry any record a journal holds.
 	var req ReturnRequest
-	if !decodeBody(w, r, "return", experiments.MaxJournalLine, &req) {
+	if !decodeBody(w, r, "return", c.cfg.maxReturnBody(), &req) {
 		return
 	}
-
-	c.mu.Lock()
 	// Validate the whole batch before mutating any state: a bad record
 	// at index k > 0 must not leave indices < k merged, journaled and
 	// counted behind a 4xx — the return is atomic, accepted or rejected
-	// as a unit, so a worker can safely retry an identical request.
+	// as a unit, so a worker can safely retry an identical request. The
+	// cell list never changes, so this needs no lock.
 	for _, res := range req.Results {
 		if res.Pos < 0 || res.Pos >= len(c.cells) {
-			c.mu.Unlock()
 			http.Error(w, fmt.Sprintf("result position %d out of range [0,%d)", res.Pos, len(c.cells)), http.StatusBadRequest)
 			return
 		}
@@ -556,21 +527,22 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 			// A record that does not compute the campaign's cell at
 			// this position can never be merged — reject the whole
 			// return so the bug is loud.
-			c.mu.Unlock()
 			http.Error(w, fmt.Sprintf("result for position %d is cell %q, campaign expects %q",
 				res.Pos, res.Record.Cell.Key(), c.cells[res.Pos].Key()), http.StatusConflict)
 			return
 		}
 		if res.Err == "" {
 			if err := res.Record.Validate(); err != nil {
-				c.mu.Unlock()
 				http.Error(w, fmt.Sprintf("result for position %d: %v", res.Pos, err), http.StatusBadRequest)
 				return
 			}
 		}
 	}
 
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
+	c.reclaimExpired(now)
 	wk := c.workerLocked(req.Worker, now)
 	var resp ReturnResponse
 	for _, res := range req.Results {
@@ -582,7 +554,7 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 			// cannot change the merged output.
 			resp.Duplicates++
 			c.stats.Duplicates++
-			wk.duplicates++
+			wk.Duplicates++
 			continue
 		}
 		if res.Err != "" {
@@ -591,87 +563,37 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 		} else {
 			out := res.Record.Outcome()
 			c.outcomes[res.Pos] = out
+			// Journaled under the lock as it merges, so the journal's
+			// order is the merge order. A write that fails fails the
+			// campaign, as a failed cell does.
 			if c.ckpt != nil {
-				// Buffer the journal record under the lock (the queue
-				// carries the merge order) and write it after releasing
-				// it: fsync-grade I/O must not stall every concurrent
-				// lease and return on c.mu.
-				c.journalQ = append(c.journalQ, journalEntry{pos: res.Pos, cell: c.cells[res.Pos], out: out})
+				if err := c.ckpt.Record(c.cells[res.Pos], out); err != nil {
+					c.errs[res.Pos] = fmt.Errorf("dist: journal: %w", err)
+					c.failed = true
+				}
 			}
 		}
 		c.phase[res.Pos] = cellDone
 		c.owner[res.Pos] = 0
 		c.remaining--
 		c.stats.Returned++
-		wk.returned++
+		wk.Returned++
 		resp.Accepted++
 	}
 	// A fully-returned lease has nothing left to reclaim: drop it now
-	// instead of letting it linger until the TTL sweep.
-	if l, ok := c.leases[req.LeaseID]; ok {
-		settled := true
-		for _, pos := range l.cells {
-			if c.phase[pos] != cellDone {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			delete(c.leases, req.LeaseID)
-		}
+	// instead of letting it linger until its deadline.
+	if l, ok := c.leases[req.LeaseID]; ok && !slices.ContainsFunc(l.cells, func(pos int) bool { return c.phase[pos] != cellDone }) {
+		delete(c.leases, req.LeaseID)
 	}
-	c.mu.Unlock()
-
-	c.flushJournal()
-
 	// The campaign ends when every cell is accounted for — or as soon as
 	// any cell fails: cells are deterministic, so a failed cell would
 	// fail on every worker, and waiting for the rest would leave Serve
-	// blocked forever once leases stop being granted. Completion is
-	// signaled only after the journal flush above, so Serve never closes
-	// a checkpoint file with this handler's records still queued.
-	c.mu.Lock()
+	// blocked forever once leases stop being granted.
 	if c.remaining == 0 || c.failed {
 		c.closeDoneLocked()
 		resp.Done = true
 	}
-	c.mu.Unlock()
 	writeJSON(w, resp)
-}
-
-// flushJournal drains the queued checkpoint records to disk outside
-// c.mu. journalMu serializes flushers; because entries are appended to
-// journalQ under c.mu (in merge order) and each flusher drains the
-// queue FIFO — including entries other handlers appended while this
-// flush ran — the journal preserves the merge order exactly, as if the
-// writes still happened under the big lock.
-func (c *Coordinator) flushJournal() {
-	if c.ckpt == nil {
-		return
-	}
-	c.journalMu.Lock()
-	defer c.journalMu.Unlock()
-	for {
-		c.mu.Lock()
-		q := c.journalQ
-		c.journalQ = nil
-		c.mu.Unlock()
-		if len(q) == 0 {
-			return
-		}
-		for _, e := range q {
-			if err := c.ckpt.Record(e.cell, e.out); err != nil {
-				c.mu.Lock()
-				if c.errs[e.pos] == nil {
-					c.errs[e.pos] = fmt.Errorf("dist: journal: %w", err)
-				}
-				c.failed = true
-				c.closeDoneLocked()
-				c.mu.Unlock()
-				return
-			}
-		}
-	}
 }
 
 // firstErrLocked returns the lowest-position cell failure, mirroring the
@@ -701,34 +623,13 @@ func (c *Coordinator) Campaign() (*experiments.Campaign, error) {
 	return &experiments.Campaign{Options: c.opts, Cells: c.cells, Outcomes: c.outcomes}, nil
 }
 
-// background runs the expiry sweep until stop closes. The sweep is what
-// keeps the lease state machine honest with no live workers: a fleet
-// that all died still has its leases reclaimed and reported on the sweep
-// cadence, and /v1/status reflects reality instead of whatever the last
-// lease request saw.
-func (c *Coordinator) background(stop <-chan struct{}) {
-	sweep := time.NewTicker(c.cfg.sweepInterval())
-	defer sweep.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-sweep.C:
-			c.mu.Lock()
-			c.reclaimExpired(now)
-			c.mu.Unlock()
-		}
-	}
-}
-
 // Serve runs the coordinator on the listener until the campaign
-// completes or ctx is canceled, then returns the merged campaign. While
-// serving, a background loop sweeps expired leases every
-// Config.SweepInterval. After completion the server keeps answering
-// "done" for Config.DrainGrace so polling workers observe the end
-// instead of a vanished server. The
-// listener is closed on return; the checkpoint journal, if any, is
-// closed too.
+// completes or ctx is canceled, then returns the merged campaign. It
+// starts no goroutine beside the HTTP server: expired leases are
+// reclaimed by the requests and reads that meet them. After completion
+// the server keeps answering "done" for Config.DrainGrace so polling
+// workers observe the end instead of a vanished server. The listener is
+// closed on return; the checkpoint journal, if any, is closed too.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*experiments.Campaign, error) {
 	srv := &http.Server{Handler: c.Handler()}
 	errCh := make(chan error, 1)
@@ -741,9 +642,6 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*experiments.
 	if c.ckpt != nil {
 		defer c.ckpt.Close()
 	}
-	stop := make(chan struct{})
-	go c.background(stop)
-	defer close(stop)
 	if c.cfg.OnListen != nil {
 		c.cfg.OnListen(ln.Addr().String())
 	}

@@ -165,7 +165,7 @@ func TestCampaignInfoDecodesRetiredTraceDir(t *testing.T) {
 		io.WriteString(w, sharded)
 	}))
 	defer srv.Close()
-	_, err := Work(context.Background(), srv.URL, WorkerOptions{Name: "w", Workers: 1, MaxRetries: -1})
+	_, err := Work(context.Background(), srv.URL, WorkerOptions{Name: "w", Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("joining a sharded campaign: %v, want a version-skew refusal", err)
 	}
@@ -197,7 +197,7 @@ func TestDistributedMergeByteIdentical(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			workerStats[i], workerErrs[i] = Work(context.Background(), addr,
-				WorkerOptions{Name: "w", Workers: 2, MaxBatch: 1})
+				WorkerOptions{Name: "w", Workers: 2})
 		}()
 	}
 	wg.Wait()
@@ -385,6 +385,41 @@ func TestDistributedJournalResumeCompatible(t *testing.T) {
 	}
 	if got := s.Checkpoint().Restored(); got != len(cells) {
 		t.Errorf("session restored %d cells from the journal, want %d", got, len(cells))
+	}
+}
+
+// TestDistributedJournalWriteFailureFailsCampaign pins the journal's
+// failure path: when a merged cell cannot be written to the coordinator
+// journal, the campaign fails and Serve returns an error naming the
+// journal instead of a campaign it could not make durable.
+func TestDistributedJournalWriteFailureFailsCampaign(t *testing.T) {
+	opts := testOptions()
+	coord, err := NewCoordinator(opts, opts.Cells(), Config{
+		RetryDelay:     20 * time.Millisecond,
+		DrainGrace:     100 * time.Millisecond,
+		CheckpointPath: filepath.Join(t.TempDir(), "journal.jsonl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every later write to the journal fails.
+	if err := coord.ckpt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	addr, serveCh := startCoordinator(t, coord)
+	// Serve carries the verdict; the worker only drives the returns.
+	Work(context.Background(), addr, WorkerOptions{Name: "w", Workers: 2})
+
+	select {
+	case res := <-serveCh:
+		if res.err == nil {
+			t.Fatal("Serve returned a campaign whose journal writes failed")
+		}
+		if !strings.Contains(res.err.Error(), "journal") {
+			t.Errorf("Serve error does not name the journal: %v", res.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Serve did not return after the journal write failed")
 	}
 }
 

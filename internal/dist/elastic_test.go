@@ -40,10 +40,10 @@ func chaosOptions() experiments.Options {
 }
 
 // TestFleetRenewalOutlivesLeaseTTL pins the heartbeat contract: a
-// worker renewing its lease holds a cell far past 3×LeaseTTL — with the
-// background expiry sweep running the whole time — and the cell is
-// neither reclaimed nor re-run elsewhere; the eventual return is merged
-// as the first copy, not a duplicate.
+// worker renewing its lease holds a cell far past 3×LeaseTTL — with
+// another worker's lease requests reclaiming expired leases the whole
+// time — and the cell is neither reclaimed nor re-run elsewhere; the
+// eventual return is merged as the first copy, not a duplicate.
 func TestFleetRenewalOutlivesLeaseTTL(t *testing.T) {
 	opts := testOptions()
 	want := singleProcessCSV(t, opts)
@@ -51,11 +51,10 @@ func TestFleetRenewalOutlivesLeaseTTL(t *testing.T) {
 	const ttl = 200 * time.Millisecond
 
 	coord, err := NewCoordinator(opts, cells, Config{
-		LeaseTTL:      ttl,
-		LeaseBatch:    1,
-		RetryDelay:    20 * time.Millisecond,
-		DrainGrace:    400 * time.Millisecond,
-		SweepInterval: 25 * time.Millisecond,
+		LeaseTTL:   ttl,
+		LeaseBatch: 1,
+		RetryDelay: 20 * time.Millisecond,
+		DrainGrace: 400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +85,9 @@ func TestFleetRenewalOutlivesLeaseTTL(t *testing.T) {
 		healthyCh <- serveResult{nil, err}
 	}()
 
-	// Renew every 60ms for 3.5×TTL. The sweep fires every 25ms, so one
-	// missed renewal window would reclaim the lease almost instantly.
+	// Renew every 60ms for 3.5×TTL. The healthy worker polls for work
+	// every 20ms, and each poll reclaims expired leases, so one missed
+	// renewal window would reclaim the lease almost instantly.
 	for elapsed := time.Duration(0); elapsed < 3*ttl+ttl/2; elapsed += 60 * time.Millisecond {
 		time.Sleep(60 * time.Millisecond)
 		var ack RenewResponse
@@ -127,6 +127,66 @@ func TestFleetRenewalOutlivesLeaseTTL(t *testing.T) {
 	if cs.Renewals < 5 {
 		t.Errorf("coordinator counted %d renewals, want at least the slow worker's 5+", cs.Renewals)
 	}
+}
+
+// TestFleetExpiryVisibleWithoutLeaseRequests pins what a status reader
+// sees of a dead worker when nobody else asks for work: once the lease's
+// deadline passes, Status and /metrics report the cell pending and the
+// lease expired, and a renewal of that lease answers expired.
+func TestFleetExpiryVisibleWithoutLeaseRequests(t *testing.T) {
+	opts := testOptions()
+	cells := opts.Cells()
+	const ttl = 100 * time.Millisecond
+
+	coord, err := NewCoordinator(opts, cells, Config{
+		LeaseTTL:   ttl,
+		RetryDelay: 10 * time.Millisecond,
+		DrainGrace: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, serveCh := startCoordinator(t, coord)
+	ctx := context.Background()
+
+	var grant LeaseResponse
+	if err := postJSON(ctx, http.DefaultClient, "http://"+addr+"/v1/lease",
+		LeaseRequest{Worker: "dead", Max: 1}, &grant); err != nil {
+		t.Fatal(err)
+	}
+	if len(grant.Cells) != 1 {
+		t.Fatalf("leased %d cells, want 1", len(grant.Cells))
+	}
+	time.Sleep(3 * ttl)
+
+	if st := coord.Status(); st.Pending != len(cells) || st.Leased != 0 || st.Expired != 1 || st.ActiveLeases != 0 {
+		t.Errorf("status 3×TTL after a dead worker's lease: %+v, want all %d cells pending, 1 expired, 0 active leases", st, len(cells))
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\nclockgate_leases_expired_total 1\n") {
+		t.Errorf("/metrics does not count the expired lease:\n%s", metrics)
+	}
+	var ack RenewResponse
+	if err := postJSON(ctx, http.DefaultClient, "http://"+addr+"/v1/renew",
+		RenewRequest{LeaseID: grant.LeaseID, Worker: "dead"}, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if !ack.Expired {
+		t.Errorf("renewing the expired lease answered %+v, want expired", ack)
+	}
+
+	if _, err := Work(ctx, addr, WorkerOptions{Name: "finisher", Workers: 2}); err != nil {
+		t.Fatalf("finisher worker: %v", err)
+	}
+	waitServe(t, serveCh)
 }
 
 // TestFleetStealFirstReturnWins pins the straggler re-lease rule: with
@@ -268,7 +328,6 @@ func TestFleetWorkerSurvivesFlakyCoordinator(t *testing.T) {
 	stats, err := Work(context.Background(), flaky.URL, WorkerOptions{
 		Name:      "tough",
 		Workers:   2,
-		MaxBatch:  2,
 		RetryBase: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -437,7 +496,6 @@ func TestFleetChaosSmoke(t *testing.T) {
 		LeaseBatch:     1,
 		RetryDelay:     10 * time.Millisecond,
 		DrainGrace:     800 * time.Millisecond,
-		SweepInterval:  50 * time.Millisecond,
 		StealThreshold: 2,
 		StealMinAge:    100 * time.Millisecond,
 	})
@@ -453,8 +511,8 @@ func TestFleetChaosSmoke(t *testing.T) {
 
 	// The doomed worker: takes a cell, computes it, and is never heard
 	// from again until after the campaign — its cell must be healed by
-	// the background sweep (expiry) or by stealing, and its eventual
-	// late return discarded as a duplicate.
+	// expiry or by stealing, and its eventual late return discarded as a
+	// duplicate.
 	var doomed LeaseResponse
 	if err := postJSON(ctx, http.DefaultClient, "http://"+addr+"/v1/lease",
 		LeaseRequest{Worker: "doomed", Max: 1}, &doomed); err != nil {
@@ -514,7 +572,6 @@ func TestFleetChaosSmoke(t *testing.T) {
 			_, workerErrs[i] = Work(ctx, addr, WorkerOptions{
 				Name:      fmt.Sprintf("chaos-%d", i),
 				Workers:   2,
-				MaxBatch:  1,
 				Client:    client,
 				RetryBase: 5 * time.Millisecond,
 			})

@@ -22,10 +22,10 @@
 // Leases carry deadlines: a live worker renews its claim while a cell
 // runs (so slow cells outlive the TTL), and a worker that dies simply
 // stops renewing — once the deadline passes the coordinator reclaims
-// the batch's unfinished cells, lazily on the lease path and
-// periodically from Serve's background sweep. Near the end of a
-// campaign the coordinator may also re-lease the oldest in-flight cells
-// to idle workers (straggler stealing). Results are deduplicated per
+// the batch's unfinished cells, first thing on every request and status
+// read, so it runs no goroutine beside the HTTP server. Near the end of
+// a campaign the coordinator may also re-lease the oldest in-flight
+// cells to idle workers (straggler stealing). Results are deduplicated per
 // cell (first completed return wins), so a slow worker returning after
 // its lease expired — or after its cell was stolen and re-run elsewhere
 // — changes nothing: cells are deterministic, and the merge keys on

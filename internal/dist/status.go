@@ -29,15 +29,9 @@ type Status struct {
 	Leased  int `json:"leased"`
 	Done    int `json:"done"`
 
-	// Activity counters (the Stats set).
-	Restored     int `json:"restored"`
-	Leases       int `json:"leases"`
+	// Activity counters, and the leases still outstanding.
+	Stats
 	ActiveLeases int `json:"active_leases"`
-	Expired      int `json:"expired"`
-	Returned     int `json:"returned"`
-	Duplicates   int `json:"duplicates"`
-	Renewals     int `json:"renewals"`
-	Steals       int `json:"steals"`
 
 	// Throughput over the coordinator's lifetime (merged returns per
 	// second; restored cells excluded) and the ETA it implies for the
@@ -70,24 +64,20 @@ type WorkerStatus struct {
 	LastSeenMS int64 `json:"last_seen_ms"`
 }
 
-// Status takes one consistent control-plane snapshot.
+// Status takes one consistent control-plane snapshot, with every
+// deadline-passed lease already reclaimed.
 func (c *Coordinator) Status() Status {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reclaimExpired(now)
 
 	st := Status{
 		Protocol:     ProtocolVersion,
 		Fingerprint:  c.fingerprint,
 		Cells:        len(c.cells),
-		Restored:     c.stats.Restored,
-		Leases:       c.stats.Leases,
+		Stats:        c.stats,
 		ActiveLeases: len(c.leases),
-		Expired:      c.stats.Expired,
-		Returned:     c.stats.Returned,
-		Duplicates:   c.stats.Duplicates,
-		Renewals:     c.stats.Renewals,
-		Steals:       c.stats.Steals,
 		UptimeMS:     now.Sub(c.startedAt).Milliseconds(),
 		Completed:    c.remaining == 0,
 		Failed:       c.failed,
@@ -118,16 +108,9 @@ func (c *Coordinator) Status() Status {
 	sort.Strings(names)
 	for _, name := range names {
 		wk := c.workers[name]
-		st.Workers = append(st.Workers, WorkerStatus{
-			Name:       name,
-			Leases:     wk.leases,
-			Returned:   wk.returned,
-			Duplicates: wk.duplicates,
-			Renewals:   wk.renewals,
-			Steals:     wk.steals,
-			Expired:    wk.expired,
-			LastSeenMS: now.Sub(wk.lastSeen).Milliseconds(),
-		})
+		ws := wk.WorkerStatus
+		ws.LastSeenMS = now.Sub(wk.lastSeen).Milliseconds()
+		st.Workers = append(st.Workers, ws)
 	}
 	return st
 }

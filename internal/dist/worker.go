@@ -23,26 +23,30 @@ type WorkerOptions struct {
 	// Default "<hostname>-<pid>".
 	Name string
 	// Workers is the local Session pool width — how many leased cells
-	// simulate concurrently on this machine. Default GOMAXPROCS.
+	// simulate concurrently on this machine. Default GOMAXPROCS. A lease
+	// request asks for 2×Workers cells, so the local pool stays fed
+	// while a return round-trips; the coordinator's LeaseBatch caps the
+	// grant.
 	Workers int
-	// MaxBatch caps the cells requested per lease. Default 2×Workers,
-	// so the local pool stays fed while a return round-trips.
-	MaxBatch int
 	// Client is the HTTP client used to reach the coordinator. Default
 	// a client with a 30s request timeout.
 	Client *http.Client
-	// MaxRetries bounds the transient-failure retries per request
-	// (connection errors, 5xx): the worker survives a flaky network or
-	// a briefly-unreachable coordinator instead of dying on the first
-	// hiccup. Protocol errors (4xx, version skew, campaign failure)
-	// are never retried. Default 8; negative disables retries.
-	MaxRetries int
-	// RetryBase is the first retry backoff delay; it doubles per
-	// attempt (with jitter) up to RetryMax. Default 100ms.
+	// RetryBase is the first backoff delay of the transient-failure
+	// retries (connection errors, 5xx), by which the worker survives a
+	// flaky network or a briefly-unreachable coordinator instead of
+	// dying on the first hiccup: at most 8 retries per request, the
+	// delay doubling per attempt (with jitter) up to 5s. Protocol errors
+	// (4xx, version skew, campaign failure) are never retried. Default
+	// 100ms.
 	RetryBase time.Duration
-	// RetryMax caps the backoff delay. Default 5s.
-	RetryMax time.Duration
 }
+
+// The transient-failure retry budget of one request: at most maxRetries
+// retries, with backoff delays capped at retryMax.
+const (
+	maxRetries = 8
+	retryMax   = 5 * time.Second
+)
 
 func (o WorkerOptions) name() string {
 	if o.Name != "" {
@@ -62,13 +66,6 @@ func (o WorkerOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o WorkerOptions) maxBatch() int {
-	if o.MaxBatch > 0 {
-		return o.MaxBatch
-	}
-	return 2 * o.workers()
-}
-
 func (o WorkerOptions) client() *http.Client {
 	if o.Client != nil {
 		return o.Client
@@ -76,28 +73,11 @@ func (o WorkerOptions) client() *http.Client {
 	return &http.Client{Timeout: 30 * time.Second}
 }
 
-func (o WorkerOptions) maxRetries() int {
-	switch {
-	case o.MaxRetries > 0:
-		return o.MaxRetries
-	case o.MaxRetries < 0:
-		return 0
-	}
-	return 8
-}
-
 func (o WorkerOptions) retryBase() time.Duration {
 	if o.RetryBase > 0 {
 		return o.RetryBase
 	}
 	return 100 * time.Millisecond
-}
-
-func (o WorkerOptions) retryMax() time.Duration {
-	if o.RetryMax > 0 {
-		return o.RetryMax
-	}
-	return 5 * time.Second
 }
 
 // WorkerStats summarizes one worker's participation in a campaign.
@@ -172,7 +152,7 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		}
 		var grant LeaseResponse
 		err := retry(ctx, o, &stats, func() error {
-			return postJSON(ctx, client, base+"/v1/lease", LeaseRequest{Worker: name, Max: o.maxBatch()}, &grant)
+			return postJSON(ctx, client, base+"/v1/lease", LeaseRequest{Worker: name, Max: 2 * o.workers()}, &grant)
 		})
 		if err != nil {
 			return stats, fmt.Errorf("dist: lease: %w", err)
@@ -354,7 +334,7 @@ func retry(ctx context.Context, o WorkerOptions, stats *WorkerStats, call func()
 		if err == nil {
 			return nil
 		}
-		if ctx.Err() != nil || !transientErr(err) || attempt >= o.maxRetries() {
+		if ctx.Err() != nil || !transientErr(err) || attempt >= maxRetries {
 			return err
 		}
 		stats.Retries++
@@ -367,10 +347,7 @@ func retry(ctx context.Context, o WorkerOptions, stats *WorkerStats, call func()
 			return ctx.Err()
 		case <-time.After(sleep):
 		}
-		delay *= 2
-		if delay > o.retryMax() {
-			delay = o.retryMax()
-		}
+		delay = min(2*delay, retryMax)
 	}
 }
 

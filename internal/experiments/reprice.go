@@ -26,9 +26,12 @@ import (
 // arithmetic speed: a whole fleet journal re-prices in milliseconds.
 
 // MaxJournalLine bounds one journal line, and so one record: ReadJournal
-// fails on a longer line, and the distributed coordinator refuses a
-// longer request body. A ring:128 record takes about 80 KB.
-const MaxJournalLine = 1 << 26
+// fails on a longer line, and the distributed coordinator bounds a return
+// at one line per cell of a lease. No record comes near it: with 128
+// processors on the interconnect with the most links, the longest
+// built-in names and every number at its widest, a record takes about
+// 180 KB, and a real 128-processor mesh record about 80 KB.
+const MaxJournalLine = 1 << 20
 
 // ReadJournal parses a checkpoint/fleet journal stream: the header line
 // is validated for version (the campaign fingerprint is deliberately
