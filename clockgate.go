@@ -531,7 +531,8 @@ type ServeConfig = dist.Config
 type WorkerConfig = dist.WorkerOptions
 
 // WorkerStats summarizes one worker's participation in a distributed
-// campaign.
+// campaign, with the cache counters of its session (trace generations,
+// baselines run and shared, System reuses).
 type WorkerStats = dist.WorkerStats
 
 // FleetStatus is one consistent control-plane snapshot of a running

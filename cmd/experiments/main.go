@@ -17,7 +17,8 @@
 //	experiments -serve :7400 -summary -csv out.csv   # distributed: lease the
 //	    # campaign's cells to workers, merge byte-identically
 //	experiments -worker host:7400                    # join a coordinator and
-//	    # run leased cells on a local session
+//	    # run leased cells on a local session; on exit it prints how many
+//	    # traces it generated and baselines it ran
 //	experiments -serve :7400 -matrix done -resume j.jsonl  # distribute the
 //	    # done-set; the journal doubles as a -resume checkpoint
 //	experiments -status host:7400                    # one-shot fleet status
@@ -213,6 +214,8 @@ func main() {
 		}
 		fmt.Printf("worker done: %d cells over %d leases (%d transient-error retries, %d lease renewals)\n",
 			st.Cells, st.Leases, st.Retries, st.Renewals)
+		fmt.Printf("worker session: %d trace generations, %d trace hits; %d baselines run, %d shared, %d waited; %d System reuses, %d rebuilds\n",
+			st.TraceGenerations, st.TraceHits, st.BaselinesRun, st.BaselinesShared, st.BaselinesWaited, st.SystemReuses, st.SystemRebuilds)
 		return
 	}
 

@@ -284,12 +284,8 @@ func FuzzCoordinatorReturn(f *testing.F) {
 func leasedCoordinator(tb testing.TB) *Coordinator {
 	tb.Helper()
 	c := newReturnCoordinator(tb)
-	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/lease",
-		strings.NewReader(`{"worker":"w","max":1}`)))
-	var grant LeaseResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &grant); rec.Code != http.StatusOK || err != nil || grant.LeaseID != 1 {
-		tb.Fatalf("granting lease 1 failed: %d %s", rec.Code, rec.Body)
+	if grant := requestLease(tb, c, "w", 1); grant.LeaseID != 1 {
+		tb.Fatalf("granted lease %d, want lease 1", grant.LeaseID)
 	}
 	return c
 }
@@ -355,10 +351,11 @@ func TestCoordinatorBoundsLeaseRenewBody(t *testing.T) {
 
 // FuzzCoordinatorLeaseRenew posts arbitrary bodies to /v1/lease or
 // /v1/renew on a coordinator holding one live lease. Every body must get
-// 200 or a 4xx, never a panic or a 5xx, and a refused request must leave
-// Status and Stats unchanged. The seeds are valid requests, a renew of
-// an unknown lease, malformed and mistyped JSON, and a body one byte
-// over the bound for each endpoint.
+// 200 or a 4xx, never a panic or a 5xx, a refused request must leave
+// Status and Stats unchanged, and a granted lease must keep the lease
+// rule (checkGrant). The seeds are valid requests, a renew of an unknown
+// lease, malformed and mistyped JSON, and a body one byte over the bound
+// for each endpoint. FuzzCoordinatorLeaseGroups fuzzes the rule itself.
 func FuzzCoordinatorLeaseRenew(f *testing.F) {
 	for _, body := range []string{
 		`{"worker":"w2","max":2}`, `{"worker":"w2"}`, `{"lease_id":1,"worker":"w"}`,
@@ -375,11 +372,18 @@ func FuzzCoordinatorLeaseRenew(f *testing.F) {
 			path = "/v1/renew"
 		}
 		c := leasedCoordinator(t)
-		before, stats := statusSnapshot(c), c.Stats()
+		before, stats, pending := statusSnapshot(c), c.Stats(), pendingSnapshot(c)
 		rec := httptest.NewRecorder()
 		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		switch code := rec.Code; {
 		case code == http.StatusOK:
+			if !renew {
+				var grant LeaseResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
+					t.Fatalf("lease answered 200 with %q: %v", rec.Body, err)
+				}
+				checkGrant(t, c, pending, grant)
+			}
 		case code >= 400 && code < 500:
 			if !reflect.DeepEqual(statusSnapshot(c), before) || c.Stats() != stats {
 				t.Fatalf("%s refused with %d changed the coordinator:\nbefore %+v\nafter  %+v", path, code, before, statusSnapshot(c))

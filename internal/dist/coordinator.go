@@ -25,8 +25,10 @@ type Config struct {
 	// are still running, so the TTL bounds crash detection latency, not
 	// cell runtime. Default 2 minutes.
 	LeaseTTL time.Duration
-	// LeaseBatch caps the cells granted per lease. Default 8; a
-	// worker's request may ask for fewer.
+	// LeaseBatch caps the cells granted per lease. Default 8. A grant
+	// holds the request's Max cells, and past Max it takes the next
+	// pending cells that share the last one's trace, up to LeaseBatch
+	// (see NewCoordinator).
 	LeaseBatch int
 	// RetryDelay is the poll interval suggested to workers when no work
 	// is pending (all cells leased or done). Default 200ms.
@@ -193,6 +195,15 @@ type Coordinator struct {
 // Session.Run would execute. With Config.CheckpointPath set, cells
 // already journaled there are restored immediately (the journal is
 // validated against the options fingerprint, like -resume).
+//
+// Cells are leased in canonical order, and a grant that reaches the
+// request's Max keeps taking the next pending cells while they share the
+// last granted cell's trace key (experiments.Options.TraceKey), up to
+// Config.LeaseBatch. When the cells of one key are adjacent, as the W0
+// siblings of each point are in the benchmark's fleet-paper campaign,
+// one worker's session then generates the trace and runs the ungated
+// baseline once, as one process does. A campaign whose keys are all
+// distinct gets the first min(Max, LeaseBatch) pending cells.
 func NewCoordinator(opts experiments.Options, cells []experiments.Cell, cfg Config) (*Coordinator, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("dist: no cells to coordinate")
@@ -425,14 +436,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 	var granted []LeasedCell
 	var positions []int
-	for pos := range c.cells {
-		if len(granted) >= max {
-			break
-		}
+	for pos, cell := range c.cells {
 		if c.phase[pos] != cellPending {
 			continue
 		}
-		granted = append(granted, LeasedCell{Pos: pos, Cell: c.cells[pos]})
+		if n := len(granted); n >= max {
+			// Past Max, take the rest of the last cell's trace, so one
+			// session generates it and runs its baseline.
+			if n >= c.cfg.leaseBatch() || c.opts.TraceKey(cell) != c.opts.TraceKey(granted[n-1].Cell) {
+				break
+			}
+		}
+		granted = append(granted, LeasedCell{Pos: pos, Cell: cell})
 		positions = append(positions, pos)
 	}
 	stolen := 0
@@ -592,6 +607,9 @@ func (c *Coordinator) handleReturn(w http.ResponseWriter, r *http.Request) {
 	if c.remaining == 0 || c.failed {
 		c.closeDoneLocked()
 		resp.Done = true
+	}
+	if c.failed {
+		resp.Err = c.firstErrLocked().Error()
 	}
 	writeJSON(w, resp)
 }

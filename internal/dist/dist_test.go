@@ -391,7 +391,9 @@ func TestDistributedJournalResumeCompatible(t *testing.T) {
 // TestDistributedJournalWriteFailureFailsCampaign pins the journal's
 // failure path: when a merged cell cannot be written to the coordinator
 // journal, the campaign fails and Serve returns an error naming the
-// journal instead of a campaign it could not make durable.
+// journal instead of a campaign it could not make durable. The worker
+// whose return ended the campaign exits with that error too, though its
+// own cells all ran.
 func TestDistributedJournalWriteFailureFailsCampaign(t *testing.T) {
 	opts := testOptions()
 	coord, err := NewCoordinator(opts, opts.Cells(), Config{
@@ -407,8 +409,10 @@ func TestDistributedJournalWriteFailureFailsCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, serveCh := startCoordinator(t, coord)
-	// Serve carries the verdict; the worker only drives the returns.
-	Work(context.Background(), addr, WorkerOptions{Name: "w", Workers: 2})
+	_, err = Work(context.Background(), addr, WorkerOptions{Name: "w", Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "dist: campaign failed: ") || !strings.Contains(err.Error(), "journal") {
+		t.Errorf("worker whose return failed the campaign exited with %v, want a campaign failure naming the journal", err)
+	}
 
 	select {
 	case res := <-serveCh:

@@ -49,9 +49,11 @@ type CampaignInfo struct {
 	Cells       int                 `json:"cells"`
 }
 
-// LeaseRequest asks for up to Max cells of work. Worker is a free-form
-// identity used for logs and lease accounting only — correctness never
-// depends on it.
+// LeaseRequest asks for Max cells of work. Past Max, the coordinator
+// adds the next pending cells that share the last granted cell's trace,
+// up to its LeaseBatch, so a grant may hold more than Max; with one cell
+// per trace it holds at most Max. Worker is a free-form identity used
+// for logs and lease accounting only — correctness never depends on it.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max,omitempty"`
@@ -122,9 +124,13 @@ type ReturnRequest struct {
 
 // ReturnResponse acknowledges a return: how many results were merged,
 // how many were discarded as duplicates (the cell was already complete —
-// the dedup-on-re-lease rule), and whether the campaign is now done.
+// the dedup-on-re-lease rule), and whether the campaign is now done. Err
+// mirrors LeaseResponse: the campaign has failed, by this return or
+// before it, and the worker should exit with this error. Workers that
+// predate it ignore the field.
 type ReturnResponse struct {
-	Accepted   int  `json:"accepted"`
-	Duplicates int  `json:"duplicates"`
-	Done       bool `json:"done,omitempty"`
+	Accepted   int    `json:"accepted"`
+	Duplicates int    `json:"duplicates"`
+	Done       bool   `json:"done,omitempty"`
+	Err        string `json:"err,omitempty"`
 }

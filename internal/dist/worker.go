@@ -25,8 +25,8 @@ type WorkerOptions struct {
 	// Workers is the local Session pool width — how many leased cells
 	// simulate concurrently on this machine. Default GOMAXPROCS. A lease
 	// request asks for 2×Workers cells, so the local pool stays fed
-	// while a return round-trips; the coordinator's LeaseBatch caps the
-	// grant.
+	// while a return round-trips. A grant may hold more, up to the
+	// coordinator's LeaseBatch: the rest of the last cell's trace.
 	Workers int
 	// Client is the HTTP client used to reach the coordinator. Default
 	// a client with a 30s request timeout.
@@ -93,6 +93,10 @@ type WorkerStats struct {
 	Retries int
 	// Renewals counts granted lease heartbeats (/v1/renew).
 	Renewals int
+	// Stats counts which caches of the worker's session served its
+	// cells: trace generations and hits, baselines run, shared and
+	// waited for, and System reuses and rebuilds.
+	experiments.Stats
 }
 
 // normalizeBase turns "host:port" or a full URL into a scheme-qualified
@@ -119,8 +123,7 @@ func normalizeBase(addr string) string {
 // LeaseTTL are not reclaimed mid-compute. Only protocol errors — 4xx
 // rejections, protocol-version or fingerprint skew, a failed campaign —
 // end the worker.
-func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, error) {
-	var stats WorkerStats
+func Work(ctx context.Context, baseURL string, o WorkerOptions) (stats WorkerStats, err error) {
 	base := normalizeBase(baseURL)
 	client := o.client()
 
@@ -144,6 +147,7 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 	sopts.Workers = o.workers()
 	session := experiments.NewSession(sopts)
 	defer session.Close()
+	defer func() { stats.Stats = session.Stats() }()
 
 	name := o.name()
 	for {
@@ -228,10 +232,14 @@ func Work(ctx context.Context, baseURL string, o WorkerOptions) (WorkerStats, er
 		if retErr != nil {
 			return stats, fmt.Errorf("dist: return: %w", retErr)
 		}
+		if ack.Err != "" {
+			return stats, fmt.Errorf("dist: campaign failed: %s", ack.Err)
+		}
 		if ack.Done {
 			// Done after our own failed cell means the failure ended the
 			// campaign: exit loudly, like the workers that will observe
-			// it via the lease path.
+			// it via the lease path. A coordinator that predates
+			// ReturnResponse.Err reports it no other way.
 			if stats.Failed > 0 {
 				return stats, fmt.Errorf("dist: campaign failed: %d of this worker's cells errored (first: %s)", stats.Failed, cellErr)
 			}

@@ -233,7 +233,7 @@ func cached(t *testing.T, s *Session, c Cell) (entries, baselines int, has bool)
 	for _, e := range s.cache {
 		baselines += len(e.baselines)
 	}
-	if e, ok := s.cache[s.traceKey(c)]; ok {
+	if e, ok := s.cache[s.opts.TraceKey(c)]; ok {
 		_, has = e.baselines[rs.Config(false)]
 	}
 	return len(s.cache), baselines, has

@@ -23,7 +23,7 @@ import (
 // energy axis) share a baseline, because the ungated configuration never
 // reads either.
 type cacheEntry struct {
-	key  traceKey
+	key  TraceKey
 	once sync.Once
 	tr   *workload.Trace
 	err  error
@@ -67,13 +67,13 @@ func (s *Session) holdEntries(cells []Cell) []*cacheEntry {
 		return entries
 	}
 	for i, c := range cells {
-		key := s.traceKey(c)
+		key := s.opts.TraceKey(c)
 		e, ok := s.cache[key]
 		if !ok {
 			e = &cacheEntry{key: key, baselines: make(map[config.Config]*baseline)}
 			s.cache[key] = e
 		} else if e.holds == 0 {
-			s.idle = slices.DeleteFunc(s.idle, func(k traceKey) bool { return k == key })
+			s.idle = slices.DeleteFunc(s.idle, func(k TraceKey) bool { return k == key })
 		}
 		e.holds++
 		entries[i] = e

@@ -156,6 +156,83 @@ func TestReadJournalRobustness(t *testing.T) {
 	}
 }
 
+// TestJournalSkipsOverlongLine: a line longer than MaxJournalLine is
+// skipped like any corrupt line, by the journal reader and by checkpoint
+// replay alike. A scale-0.05 paper journal with a 2 MiB junk line after
+// its fifth line re-prices to the CSV of the journal without it, and a
+// -resume on it restores all 9 cells. A header that long is refused.
+func TestJournalSkipsOverlongLine(t *testing.T) {
+	o := DefaultOptions()
+	o.Scale = 0.05
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.jsonl")
+	s := NewSession(o)
+	if err := s.SetCheckpoint(clean); err != nil {
+		t.Fatal(err)
+	}
+	live, err := s.Run(context.Background())
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if len(lines) != 11 || lines[10] != "" {
+		t.Fatalf("journal has %d lines, want a header and 9 records", len(lines)-1)
+	}
+	junk := strings.Repeat("x", 2<<20) + "\n"
+	mangled := filepath.Join(dir, "mangled.jsonl")
+	if err := os.WriteFile(mangled, []byte(strings.Join(lines[:5], "")+junk+strings.Join(lines[5:], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	repriced := func(path string) string {
+		t.Helper()
+		c, err := RepriceFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := c.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if got, want := repriced(mangled), repriced(clean); got != want {
+		t.Fatalf("the journal with a junk line re-prices to:\n%s\nwithout it:\n%s", got, want)
+	}
+
+	s = NewSession(o)
+	defer s.Close()
+	if err := s.SetCheckpoint(mangled); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Checkpoint().Restored(); got != 9 {
+		t.Errorf("-resume restored %d cells, want 9", got)
+	}
+	var a, b strings.Builder
+	if err := live.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Error("the resumed campaign's CSV differs from the live one")
+	}
+
+	if _, err := ReadJournal(strings.NewReader(junk + string(raw))); err == nil || !strings.Contains(err.Error(), "header") {
+		t.Errorf("a journal whose first line is too long read with error %v, want a corrupt header", err)
+	}
+}
+
 // TestRepriceRoundTripEquivalence is the RestoreLedger round-trip pin at
 // the engine level: re-pricing a journal under an empty tech list (each
 // record's own recorded tech) must reproduce the original campaign's CSV

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,29 +27,36 @@ import (
 // arithmetic speed: a whole fleet journal re-prices in milliseconds.
 
 // MaxJournalLine bounds one journal line, and so one record: ReadJournal
-// fails on a longer line, and the distributed coordinator bounds a return
-// at one line per cell of a lease. No record comes near it: with 128
-// processors on the interconnect with the most links, the longest
-// built-in names and every number at its widest, a record takes about
-// 180 KB, and a real 128-processor mesh record about 80 KB.
+// skips a longer line as corrupt, and the distributed coordinator bounds
+// a return at one line per cell of a lease. No record comes near it:
+// with 128 processors on the interconnect with the most links, the
+// longest built-in names and every number at its widest, a record takes
+// about 180 KB, and a real 128-processor mesh record about 80 KB.
 const MaxJournalLine = 1 << 20
 
 // ReadJournal parses a checkpoint/fleet journal stream: the header line
 // is validated for version (the campaign fingerprint is deliberately
 // ignored — re-pricing reads any campaign's journal), corrupt interior
-// lines, records failing CellRecord.Validate and a torn final line are
-// skipped exactly as a checkpoint resume would drop them (both decode
-// lines with journalRecord), records are deduplicated by cell key (last
-// record wins, matching checkpoint replay), and the surviving records
-// are returned sorted by cell index — the campaign's canonical order.
+// lines, lines longer than MaxJournalLine, records failing
+// CellRecord.Validate and a torn final line are skipped exactly as a
+// checkpoint resume would drop them (both decode lines with
+// journalRecord, and no record is that long), records are deduplicated
+// by cell key (last record wins, matching checkpoint replay), and the
+// surviving records are returned sorted by cell index — the campaign's
+// canonical order.
 func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), MaxJournalLine)
+	var lines lineSplitter
+	sc.Split(lines.split)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: journal read: %w", err)
 		}
 		return nil, fmt.Errorf("experiments: journal is empty")
+	}
+	if lines.skipped > 0 {
+		return nil, fmt.Errorf("experiments: journal header corrupt: a line longer than %d bytes", MaxJournalLine)
 	}
 	var hdr checkpointHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
@@ -76,6 +84,33 @@ func ReadJournal(r io.Reader) ([]CellRecord, error) {
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Cell.Index < recs[j].Cell.Index })
 	return recs, nil
+}
+
+// lineSplitter is bufio.ScanLines for a scanner whose buffer is capped at
+// MaxJournalLine, except that a line too long for the buffer is
+// discarded through its newline instead of failing the scan. Lines that
+// fit split exactly as ScanLines splits them, in place.
+type lineSplitter struct {
+	discarding bool
+	skipped    int // lines discarded
+}
+
+func (l *lineSplitter) split(data []byte, atEOF bool) (int, []byte, error) {
+	if l.discarding {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			l.discarding = false
+			return i + 1, nil, nil
+		}
+		return len(data), nil, nil
+	}
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	if advance == 0 && len(data) >= MaxJournalLine {
+		// The buffer is full and holds no newline.
+		l.discarding = true
+		l.skipped++
+		return len(data), nil, nil
+	}
+	return advance, token, err
 }
 
 // ReadJournalFile reads a journal from disk; see ReadJournal.

@@ -47,8 +47,8 @@ type Session struct {
 	// trace key (nil after Close) and the idle ones least recently used
 	// first.
 	cacheMu sync.Mutex
-	cache   map[traceKey]*cacheEntry
-	idle    []traceKey
+	cache   map[TraceKey]*cacheEntry
+	idle    []TraceKey
 	stats   sessionStats
 
 	ckpt *Checkpoint
@@ -61,7 +61,7 @@ func NewSession(o Options) *Session {
 		opts:     o,
 		tasks:    make(chan func(*core.SystemCache)),
 		poolStop: make(chan struct{}),
-		cache:    make(map[traceKey]*cacheEntry),
+		cache:    make(map[TraceKey]*cacheEntry),
 	}
 }
 
@@ -361,15 +361,18 @@ func (s *Session) cellSpec(c Cell) (core.RunSpec, error) {
 	return rs, nil
 }
 
-// traceKey identifies a generated trace. W0, the interconnect shape
-// (Cell.Banks, Cell.Topology) and the variant are absent on purpose:
-// they change the machine, never the workload, which is what lets Fig7's
-// W0 sweep and the ablation suite share one trace per (app, threads,
-// seed) point. Processor count IS in the key
+// TraceKey identifies a cell's generated trace: two cells with equal
+// keys run on the same workload. W0, the interconnect shape (Cell.Banks,
+// Cell.Topology), the technology point and the variant are absent on
+// purpose: they change the machine or its pricing, never the workload,
+// which is what lets Fig7's W0 sweep and the ablation suite share one
+// trace per (app, threads, seed) point. Processor count IS in the key
 // (threads): two cells at different machine widths generate different
-// workloads even when every other axis matches. Pinned by
+// workloads even when every other axis matches. The session cache keys
+// its traces and baselines on it, and the distributed coordinator keeps
+// the adjacent cells that share one in one grant. Pinned by
 // TestTraceCacheKeyAudit.
-type traceKey struct {
+type TraceKey struct {
 	app        stamp.App
 	threads    int
 	scale      float64
@@ -377,25 +380,26 @@ type traceKey struct {
 	seed       uint64
 }
 
-// provisionTrace generates one cell's trace and counts the generation.
-func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
-	s.stats.traceGenerations.Add(1)
-	return generateCellTrace(s.opts.Scale, c)
-}
-
-// traceKey is the key of c's trace in the session cache.
-func (s *Session) traceKey(c Cell) traceKey {
-	scale := s.opts.Scale
+// TraceKey returns the key of c's trace in a campaign run under these
+// options.
+func (o Options) TraceKey(c Cell) TraceKey {
+	scale := o.Scale
 	if scale == 0 {
 		scale = 1.0
 	}
-	return traceKey{
+	return TraceKey{
 		app:        c.App,
 		threads:    c.Processors,
 		scale:      scale,
 		contention: c.contentionOrBase(),
 		seed:       c.Seed,
 	}
+}
+
+// provisionTrace generates one cell's trace and counts the generation.
+func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
+	s.stats.traceGenerations.Add(1)
+	return generateCellTrace(s.opts.Scale, c)
 }
 
 // generateCellTrace builds the cell's trace exactly as an uncached run

@@ -544,10 +544,10 @@ func (s *Session) cachedTrace(c Cell) (*workload.Trace, error) {
 }
 
 // traceCacheKeys returns the trace keys the cache keeps entries for.
-func traceCacheKeys(s *Session) map[traceKey]bool {
+func traceCacheKeys(s *Session) map[TraceKey]bool {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	out := make(map[traceKey]bool, len(s.cache))
+	out := make(map[TraceKey]bool, len(s.cache))
 	for k := range s.cache {
 		out[k] = true
 	}
@@ -578,8 +578,8 @@ func TestTraceCacheLRUEvictsLeastRecentAmongEqualReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := traceCacheKeys(s)
-	mk := func(seed uint64) traceKey {
-		return traceKey{app: stamp.Intruder, threads: 1, scale: 0.01, contention: ContentionBase, seed: seed}
+	mk := func(seed uint64) TraceKey {
+		return TraceKey{app: stamp.Intruder, threads: 1, scale: 0.01, contention: ContentionBase, seed: seed}
 	}
 	if keys[mk(1)] {
 		t.Fatal("least-recently-used single-use key survived")
