@@ -110,7 +110,8 @@
 // (see docs/E2E.md). Case IDs are append-only: the original 1–32
 // processor grid keeps M00001–M00432, the 48/64/96/128-processor scale
 // block is appended as M00433–M00720, the banked-interconnect block as
-// M00721–M00752, and the energy/EDP technology block as M00753–M00800:
+// M00721–M00752, the energy/EDP technology block as M00753–M00800, and
+// the point-to-point topology block as M00801–M00848:
 //
 //	sc, _ := clockgate.ScenarioByID("M00042")
 //	campaign, err := session.RunScenarios(ctx, []clockgate.Scenario{sc})
@@ -560,13 +561,16 @@ func FetchFleetStatus(ctx context.Context, addr string) (FleetStatus, error) {
 // the -resume checkpoint format, so an interrupted coordinator restarts
 // where it left off. docs/DISTRIBUTED.md specifies the protocol.
 func Serve(ctx context.Context, addr string, opts CampaignOptions, cfg ServeConfig) (*Campaign, error) {
-	c, err := dist.NewCoordinator(opts, opts.Cells(), cfg)
-	if err != nil {
-		return nil, err
-	}
+	// Listen first: the coordinator creates the journal, and a busy
+	// address must not leave one behind.
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("clockgate: serve: %w", err)
+	}
+	c, err := dist.NewCoordinator(opts, opts.Cells(), cfg)
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
 	return c.Serve(ctx, ln)
 }

@@ -2,6 +2,11 @@ package clockgate
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"net"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/config"
@@ -170,6 +175,29 @@ func TestCampaignAPI(t *testing.T) {
 	s := c.Summarize()
 	if s.AvgSpeedUp <= 0 {
 		t.Fatalf("summary %+v", s)
+	}
+}
+
+// TestServeOnBusyAddressLeavesNoJournal: Serve listens before the
+// coordinator creates its journal, so a busy address returns the listen
+// error and leaves no header-only journal behind, on which a later run
+// with other options would be refused.
+func TestServeOnBusyAddressLeavesNoJournal(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	path := filepath.Join(t.TempDir(), "fleet.jsonl")
+	opts := DefaultCampaignOptions()
+	opts.Scale = 0.02
+	_, err = Serve(context.Background(), busy.Addr().String(), opts, ServeConfig{CheckpointPath: path})
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "listen" {
+		t.Fatalf("Serve on a busy address returned %v, want the listen error", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Serve on a busy address left a journal behind (stat: %v)", err)
 	}
 }
 

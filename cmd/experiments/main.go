@@ -336,6 +336,12 @@ func main() {
 		} else {
 			cells = opts.Cells()
 		}
+		// Listen before the coordinator creates the journal, so that a
+		// busy address leaves none behind.
+		ln, err := net.Listen("tcp", *serve)
+		if err != nil {
+			fatal(err)
+		}
 		coord, err := dist.NewCoordinator(opts, cells, dist.Config{
 			CheckpointPath: *resume,
 			StealThreshold: *steal,
@@ -344,10 +350,7 @@ func main() {
 			},
 		})
 		if err != nil {
-			fatal(err)
-		}
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
+			ln.Close()
 			fatal(err)
 		}
 		campaign, err := coord.Serve(ctx, ln)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -86,88 +88,158 @@ type Checkpoint struct {
 }
 
 // OpenCheckpoint opens (or creates) the checkpoint file at path for the
-// campaign identified by fingerprint. Existing records are loaded for
-// replay; a file written by a campaign with a different fingerprint is
-// refused. A truncated final line — the signature of a killed process —
-// is tolerated and dropped; that cell simply re-runs.
+// campaign identified by fingerprint. The records journalScanner yields
+// are loaded for replay; a file written by a campaign with a different
+// fingerprint is refused. Whatever follows the last newline, the torn
+// write of a killed process, is cut away, and that cell simply re-runs.
 func OpenCheckpoint(path, fingerprint string) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: open checkpoint: %w", err)
 	}
-	ck := &Checkpoint{f: f, done: make(map[string]CellRecord)}
+	ck := &Checkpoint{f: f, enc: json.NewEncoder(f), done: make(map[string]CellRecord)}
 	if err := ck.load(fingerprint); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiments: checkpoint seek: %w", err)
-	}
-	ck.enc = json.NewEncoder(f)
 	return ck, nil
 }
 
 func (ck *Checkpoint) load(fingerprint string) error {
-	raw, err := io.ReadAll(ck.f)
-	if err != nil {
-		return fmt.Errorf("experiments: checkpoint read: %w", err)
+	js := scanJournal(ck.f, ck.f.Name())
+	for key, rec, ok := js.next(); ok; key, rec, ok = js.next() {
+		ck.done[key] = rec
 	}
-	if len(raw) == 0 {
-		// Fresh file: write the header so any later resume is validated.
-		hdr, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Campaign: fingerprint})
-		if err != nil {
-			return err
-		}
-		_, err = ck.f.Write(append(hdr, '\n'))
+	hdr, end, err := js.end()
+	switch {
+	case errors.Is(err, errNoHeader):
+		// A fresh file, or one whose header a kill tore: start it over.
+	case err != nil:
 		return err
-	}
-	// A file not ending in '\n' was torn by a mid-write kill. Truncate
-	// the fragment away — appending after it would glue the next record
-	// onto the same physical line and silently lose it on the following
-	// resume.
-	if raw[len(raw)-1] != '\n' {
-		cut := bytes.LastIndexByte(raw, '\n') + 1
-		if err := ck.f.Truncate(int64(cut)); err != nil {
-			return fmt.Errorf("experiments: checkpoint truncate torn tail: %w", err)
-		}
-		raw = raw[:cut]
-		if len(raw) == 0 {
-			// Even the header was torn: rewrite it.
-			hdr, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Campaign: fingerprint})
-			if err != nil {
-				return err
-			}
-			_, err = ck.f.WriteAt(append(hdr, '\n'), 0)
-			return err
-		}
-	}
-	first, rest, _ := bytes.Cut(raw, []byte("\n"))
-	var hdr checkpointHeader
-	if err := json.Unmarshal(first, &hdr); err != nil {
-		return fmt.Errorf("experiments: checkpoint header corrupt: %w", err)
-	}
-	if hdr.Version != checkpointVersion {
-		return fmt.Errorf("experiments: checkpoint version %d, want %d", hdr.Version, checkpointVersion)
-	}
-	if hdr.Campaign != fingerprint {
+	case hdr.Campaign != fingerprint:
 		return fmt.Errorf("experiments: checkpoint belongs to campaign %s, this campaign is %s (delete the file or fix the options)",
 			hdr.Campaign, fingerprint)
 	}
-	for line := range bytes.Lines(rest) {
-		// A corrupt interior line is skipped, and its cell re-runs.
-		if key, rec, ok := journalRecord(bytes.TrimSuffix(line, []byte("\n"))); ok {
-			ck.done[key] = rec
-		}
+	// Cut the torn tail away: a record appended after it would share its
+	// line and be lost on the following resume.
+	if err := ck.f.Truncate(end); err != nil {
+		return fmt.Errorf("experiments: checkpoint truncate torn tail: %w", err)
+	}
+	if _, err := ck.f.Seek(end, io.SeekStart); err != nil {
+		return fmt.Errorf("experiments: checkpoint seek: %w", err)
+	}
+	if end > 0 {
+		return nil
+	}
+	// Write the header, so that any later resume is validated.
+	if err := ck.enc.Encode(checkpointHeader{Version: checkpointVersion, Campaign: fingerprint}); err != nil {
+		return fmt.Errorf("experiments: checkpoint write: %w", err)
 	}
 	return nil
 }
 
+// MaxJournalLine bounds one journal line, and so one record:
+// journalScanner skips a longer line, and the distributed coordinator
+// bounds a return at one line per cell of a lease. No record comes near
+// it: with 128 processors on the interconnect with the most links, the
+// longest built-in names and every number at its widest, a record takes
+// about 180 KB, and a real 128-processor mesh record about 80 KB.
+const MaxJournalLine = 1 << 20
+
+// errNoHeader reports a journal without a complete first line: an empty
+// file, or one whose header a kill tore.
+var errNoHeader = errors.New("no complete header line")
+
+// journalScanner is the one reader of the journal format, behind both
+// checkpoint replay and ReadJournal. scanJournal decodes the header line
+// and checks its version (the campaign fingerprint is left to the
+// caller). next then yields each record line that journalRecord
+// accepts, with the record's cell key, and skips any other line,
+// including one longer than MaxJournalLine, through its newline. Errors
+// name the journal once, as name.
+//
+// A line counts only once its newline has been read. Checkpoint.Record
+// writes a record and its newline in one Write, so a line without its
+// newline is a torn write, dropped even when its bytes would decode. end
+// returns the offset just past the last newline, where the complete
+// lines stop; a journal with no complete first line ends in errNoHeader.
+type journalScanner struct {
+	sc    *bufio.Scanner
+	lines lineSplitter
+	name  string
+	hdr   checkpointHeader
+	err   error // a corrupt header or a foreign version
+}
+
+func scanJournal(r io.Reader, name string) *journalScanner {
+	js := &journalScanner{sc: bufio.NewScanner(r), name: name}
+	js.sc.Buffer(make([]byte, 0, 1<<16), MaxJournalLine)
+	js.sc.Split(js.lines.split)
+	if js.sc.Scan() {
+		if err := json.Unmarshal(js.sc.Bytes(), &js.hdr); err != nil {
+			js.err = fmt.Errorf("experiments: journal %s: header corrupt: %w", name, err)
+		} else if js.hdr.Version != checkpointVersion {
+			js.err = fmt.Errorf("experiments: journal %s: version %d, want %d", name, js.hdr.Version, checkpointVersion)
+		}
+	}
+	return js
+}
+
+// next returns the next record that counts, or ok false once none is left.
+func (js *journalScanner) next() (key string, rec CellRecord, ok bool) {
+	for js.err == nil && js.sc.Scan() {
+		if key, rec, ok = journalRecord(js.sc.Bytes()); ok {
+			return key, rec, true
+		}
+	}
+	return "", CellRecord{}, false
+}
+
+// end returns the header and the offset just past the last newline, or
+// the scan's error.
+func (js *journalScanner) end() (checkpointHeader, int64, error) {
+	if js.err != nil {
+		return js.hdr, 0, js.err
+	}
+	if err := js.sc.Err(); err != nil {
+		return js.hdr, 0, fmt.Errorf("experiments: journal %s: read: %w", js.name, err)
+	}
+	if js.lines.end == 0 {
+		return js.hdr, 0, fmt.Errorf("experiments: journal %s: %w", js.name, errNoHeader)
+	}
+	return js.hdr, js.lines.end, nil
+}
+
+// lineSplitter splits a journal into its newline-terminated lines, for a
+// bufio.Scanner whose buffer is capped at MaxJournalLine. A line too
+// long for the buffer is discarded through its newline and scans as an
+// empty line, which decodes as nothing; bytes after the last newline
+// never become a line.
+type lineSplitter struct {
+	end     int64 // offset just past the last newline
+	partial int64 // bytes of an over-long line discarded since then
+}
+
+func (l *lineSplitter) split(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line := data[:i]
+		if l.partial > 0 {
+			line = data[:0]
+		}
+		l.end += l.partial + int64(i+1)
+		l.partial = 0
+		return i + 1, line, nil
+	}
+	if l.partial > 0 || len(data) >= MaxJournalLine {
+		l.partial += int64(len(data))
+		return len(data), nil, nil
+	}
+	return 0, nil, nil // wait for the newline, or at EOF drop the unterminated tail
+}
+
 // journalRecord decodes one record line of a journal and returns the
 // record with its cell key. ok is false for a line that does not decode
-// or whose record fails Validate — a corrupt interior line or a torn
-// tail. The journal reader and checkpoint replay both skip such lines
-// through this one function, so they tolerate exactly the same input.
+// or whose record fails Validate; journalScanner skips such a line.
 func journalRecord(line []byte) (key string, rec CellRecord, ok bool) {
 	if rec.UnmarshalJSON(line) != nil || rec.Validate() != nil {
 		return "", CellRecord{}, false

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -26,52 +23,32 @@ import (
 // pinned by the done-set golden in reprice_test.go — at checkpoint-
 // arithmetic speed: a whole fleet journal re-prices in milliseconds.
 
-// MaxJournalLine bounds one journal line, and so one record: ReadJournal
-// skips a longer line as corrupt, and the distributed coordinator bounds
-// a return at one line per cell of a lease. No record comes near it:
-// with 128 processors on the interconnect with the most links, the
-// longest built-in names and every number at its widest, a record takes
-// about 180 KB, and a real 128-processor mesh record about 80 KB.
-const MaxJournalLine = 1 << 20
+// ReadJournal reads a checkpoint or fleet journal through
+// journalScanner, which says what a journal line is and which lines
+// count; a journal without a complete header line is an error. The
+// header's campaign fingerprint is ignored: re-pricing reads any
+// campaign's journal. Records are deduplicated by cell key, the last
+// record winning as in checkpoint replay, and returned sorted by cell
+// index, the campaign's canonical order. Errors call the journal
+// "stream".
+func ReadJournal(r io.Reader) ([]CellRecord, error) { return readJournal(r, "stream") }
 
-// ReadJournal parses a checkpoint/fleet journal stream: the header line
-// is validated for version (the campaign fingerprint is deliberately
-// ignored — re-pricing reads any campaign's journal), corrupt interior
-// lines, lines longer than MaxJournalLine, records failing
-// CellRecord.Validate and a torn final line are skipped exactly as a
-// checkpoint resume would drop them (both decode lines with
-// journalRecord, and no record is that long), records are deduplicated
-// by cell key (last record wins, matching checkpoint replay), and the
-// surviving records are returned sorted by cell index — the campaign's
-// canonical order.
-func ReadJournal(r io.Reader) ([]CellRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), MaxJournalLine)
-	var lines lineSplitter
-	sc.Split(lines.split)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("experiments: journal read: %w", err)
-		}
-		return nil, fmt.Errorf("experiments: journal is empty")
+// ReadJournalFile reads a journal from disk; see ReadJournal. Errors
+// name the file.
+func ReadJournalFile(path string) ([]CellRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: open journal: %w", err)
 	}
-	if lines.skipped > 0 {
-		return nil, fmt.Errorf("experiments: journal header corrupt: a line longer than %d bytes", MaxJournalLine)
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("experiments: journal header corrupt: %w", err)
-	}
-	if hdr.Version != checkpointVersion {
-		return nil, fmt.Errorf("experiments: journal version %d, want %d", hdr.Version, checkpointVersion)
-	}
+	defer f.Close()
+	return readJournal(f, path)
+}
+
+func readJournal(r io.Reader, name string) ([]CellRecord, error) {
+	js := scanJournal(r, name)
 	byKey := make(map[string]int)
 	var recs []CellRecord
-	for sc.Scan() {
-		key, rec, ok := journalRecord(sc.Bytes())
-		if !ok {
-			continue
-		}
+	for key, rec, ok := js.next(); ok; key, rec, ok = js.next() {
 		if i, dup := byKey[key]; dup {
 			recs[i] = rec
 			continue
@@ -79,51 +56,10 @@ func ReadJournal(r io.Reader) ([]CellRecord, error) {
 		byKey[key] = len(recs)
 		recs = append(recs, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: journal read: %w", err)
+	if _, _, err := js.end(); err != nil {
+		return nil, err
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Cell.Index < recs[j].Cell.Index })
-	return recs, nil
-}
-
-// lineSplitter is bufio.ScanLines for a scanner whose buffer is capped at
-// MaxJournalLine, except that a line too long for the buffer is
-// discarded through its newline instead of failing the scan. Lines that
-// fit split exactly as ScanLines splits them, in place.
-type lineSplitter struct {
-	discarding bool
-	skipped    int // lines discarded
-}
-
-func (l *lineSplitter) split(data []byte, atEOF bool) (int, []byte, error) {
-	if l.discarding {
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			l.discarding = false
-			return i + 1, nil, nil
-		}
-		return len(data), nil, nil
-	}
-	advance, token, err := bufio.ScanLines(data, atEOF)
-	if advance == 0 && len(data) >= MaxJournalLine {
-		// The buffer is full and holds no newline.
-		l.discarding = true
-		l.skipped++
-		return len(data), nil, nil
-	}
-	return advance, token, err
-}
-
-// ReadJournalFile reads a journal from disk; see ReadJournal.
-func ReadJournalFile(path string) ([]CellRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: open journal: %w", err)
-	}
-	defer f.Close()
-	recs, err := ReadJournal(f)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: journal %s: %w", path, err)
-	}
 	return recs, nil
 }
 

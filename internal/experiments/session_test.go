@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -327,42 +326,6 @@ func TestCheckpointRefusesForeignCampaign(t *testing.T) {
 	}
 }
 
-// TestCheckpointToleratesTornTail simulates a kill mid-write: a torn
-// final line is dropped and its cell re-runs, while intact records
-// survive.
-func TestCheckpointToleratesTornTail(t *testing.T) {
-	o := quickOptions()
-	o.Workers = 1
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-
-	// Complete the full campaign into the checkpoint.
-	if _, interrupted := checkpointCSV(t, o, path, 0); interrupted {
-		t.Fatal("unexpected interruption")
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if len(lines) != len(o.Cells())+1 { // header + one line per cell
-		t.Fatalf("%d checkpoint lines for %d cells", len(lines), len(o.Cells()))
-	}
-	// Tear the final record in half.
-	torn := strings.Join(lines[:len(lines)-1], "\n") + "\n" + lines[len(lines)-1][:10]
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ck, err := OpenCheckpoint(path, o.Fingerprint())
-	if err != nil {
-		t.Fatalf("torn checkpoint refused: %v", err)
-	}
-	defer ck.Close()
-	if got, want := ck.Len(), len(o.Cells())-1; got != want {
-		t.Fatalf("torn checkpoint holds %d cells, want %d", got, want)
-	}
-}
-
 // TestCheckpointResumedAblationRePrices is the regression test for
 // restored ledgers: the SRPG ablation re-prices its paired run's ledgers
 // under different power models, so a checkpoint-restored outcome must
@@ -396,49 +359,6 @@ func TestCheckpointResumedAblationRePrices(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("resumed ablation tables diverged:\n--- fresh ---\n%s\n--- resumed ---\n%s", want, got)
-	}
-}
-
-// TestCheckpointTornTailAppendsCleanly checks that after a torn-tail
-// load, the next Record starts on a fresh line instead of gluing onto
-// the fragment (which would silently lose that record on the following
-// resume).
-func TestCheckpointTornTailAppendsCleanly(t *testing.T) {
-	o := quickOptions()
-	o.Workers = 1
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if _, interrupted := checkpointCSV(t, o, path, 0); interrupted {
-		t.Fatal("unexpected interruption")
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the last record in half (no trailing newline).
-	torn := raw[:len(raw)-20]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-running the campaign against the torn file must re-complete the
-	// torn cell and leave a file every cell loads cleanly from.
-	s := NewSession(o)
-	defer s.Close()
-	if err := s.SetCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	ck, err := OpenCheckpoint(path, o.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck.Close()
-	if got, want := ck.Len(), len(o.Cells()); got != want {
-		t.Fatalf("after torn-tail re-run the checkpoint holds %d cells, want %d", got, want)
 	}
 }
 
