@@ -1,8 +1,9 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the ablation benches DESIGN.md calls out. Each
-// iteration regenerates the artifact end-to-end (workload generation,
-// paired simulation, metric computation) and reports the headline numbers
-// as custom benchmark metrics, so
+// evaluation, plus ablation benches for the studies Session.Ablations
+// (experiments -ablations) tabulates and a W0 sweep. Each iteration
+// regenerates the artifact end-to-end (workload generation, paired
+// simulation, metric computation) and reports the headline numbers as
+// custom benchmark metrics, so
 //
 //	go test -bench=. -benchmem
 //
@@ -73,12 +74,12 @@ func BenchmarkTableII(b *testing.B) {
 // BenchmarkFig3 regenerates the TCC data-cache power curves.
 func BenchmarkFig3(b *testing.B) {
 	cfg := cacti.DefaultConfig()
-	var rows []cacti.Fig3Row
+	var out string
 	for i := 0; i < b.N; i++ {
-		rows = cacti.Figure3(cfg)
+		out = experiments.Fig3()
 	}
-	if len(rows) == 0 {
-		b.Fatal("no rows")
+	if len(out) == 0 {
+		b.Fatal("empty figure")
 	}
 	b.ReportMetric(cfg.RWBitPower(2, 64)-cacti.BasePower, "pct-at-64KB-2B")
 	b.ReportMetric(cfg.TCCFactor(2, 64), "tcc-factor")

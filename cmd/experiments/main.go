@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -81,7 +82,7 @@ var (
 	seeds      = flag.Int("seeds", 0, "re-run the campaign across N seeds and report spread")
 	csvPath    = flag.String("csv", "", "also write per-configuration results to this CSV file")
 	seed       = flag.Uint64("seed", 42, "workload generation seed")
-	scale      = flag.Float64("scale", 1.0, "workload size multiplier")
+	scale      = positiveFlag("scale", 1.0, "workload size multiplier (a positive finite `number`)")
 	workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign worker goroutines (1 = sequential; output is identical either way)")
 	procs      = flag.String("procs", "", "comma-separated processor counts overriding the paper's 4,8,16 sweep (up to 128, e.g. \"32,64,128\")")
 	banks      = flag.Int("banks", 0, "interconnect banks: 0 = the single split bus, a power of two = the address-interleaved banked bus (cells that pin their own shape, like matrix cases M00721+, keep it)")
@@ -98,6 +99,32 @@ var (
 	techList   = flag.Bool("tech-list", false, "list the registered energy technology points, plus any that -tech @file.json loads, and their model derivations")
 	reprice    = flag.String("reprice", "", "re-price the cells of this checkpoint/fleet journal under -tech WITHOUT re-simulating (pure checkpoint arithmetic; combines with -detail/-summary/-csv)")
 )
+
+// positive is a flag value that holds a positive finite number. The
+// generator sizes a workload only by a positive scale and runs any other
+// at full scale, while the options fingerprint keeps the value as given,
+// so a journal written under -scale -0.05 would belong to a campaign that
+// no full-scale resume matches.
+type positive float64
+
+// positiveFlag defines a flag whose value must be a positive finite
+// number.
+func positiveFlag(name string, value float64, usage string) *positive {
+	p := positive(value)
+	flag.Var(&p, name, usage)
+	return &p
+}
+
+func (p *positive) String() string { return strconv.FormatFloat(float64(*p), 'g', -1, 64) }
+
+func (p *positive) Set(s string) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v > 0) || math.IsInf(v, 0) {
+		return errors.New("must be a positive finite number")
+	}
+	*p = positive(v)
+	return nil
+}
 
 // mode is one row of the table of flag combinations: the flags that
 // select the mode, and the flags it accepts beside them.
@@ -221,7 +248,7 @@ func main() {
 
 	opts := experiments.DefaultOptions()
 	opts.Seed = *seed
-	opts.Scale = *scale
+	opts.Scale = float64(*scale)
 	opts.Workers = *workers
 	if *procs != "" {
 		list, err := parseProcs(*procs)

@@ -2,20 +2,49 @@ package main
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 )
 
-// parse parses args on a fresh flag set carrying the command's flags, so
-// that Visit reports only the flags args set.
+// flagSet returns a fresh flag set carrying the command's flags, so that
+// Visit reports only the flags a parse sets.
+func flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	flag.CommandLine.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	return fs
+}
+
+// parse parses args on a fresh flag set.
 func parse(t *testing.T, args string) *flag.FlagSet {
 	t.Helper()
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	flag.CommandLine.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	fs := flagSet()
 	if err := fs.Parse(strings.Fields(args)); err != nil {
 		t.Fatalf("parsing %q: %v", args, err)
 	}
 	return fs
+}
+
+// TestScaleMustBePositiveFinite: -scale refuses, while the flags parse
+// and so before anything runs, every value that is not a positive finite
+// number, naming the flag. The generator would run such a scale at full
+// scale, under a campaign fingerprint of its own.
+func TestScaleMustBePositiveFinite(t *testing.T) {
+	for _, v := range []string{"0", "-0", "-0.05", "-1", "NaN", "+Inf", "-Inf", "1e400", "x"} {
+		err := flagSet().Parse([]string{"-summary", "-scale", v})
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: %v, want an error naming -scale", v, err)
+		}
+	}
+	for _, v := range []string{"0.02", "2.5", "1"} {
+		if err := flagSet().Parse([]string{"-summary", "-scale", v}); err != nil {
+			t.Errorf("-scale %s refused: %v", v, err)
+		}
+	}
+	if *scale != 1 {
+		t.Fatalf("-scale 1 parsed to %v", *scale)
+	}
 }
 
 // TestModesTable: the modes table refuses every flag its mode would drop,

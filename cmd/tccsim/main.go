@@ -3,14 +3,15 @@
 // execution, protocol and energy statistics of the run. -timeline, -energy
 // and -events attach the protocol event recorder: the state timeline and
 // the interval decomposition fold its power-state events, and -events N
-// prints its first N protocol events (state events are not listed).
+// prints its first N protocol events (state events are not listed). -v
+// adds a summary of the generated trace and per-processor statistics.
 //
 // Usage:
 //
 //	tccsim -app intruder -procs 16 -gated -w0 8 -seed 42
 //	tccsim -app intruder -procs 4 -gated -timeline -energy -events 20
 //	tccsim -app yada -procs 8 -pair        # paired ungated/gated comparison
-//	tccsim -trace yada8.trace -procs 8     # replay a tracegen (CGTRACE2) trace
+//	tccsim -app yada -procs 8 -v           # trace summary and per-processor stats
 package main
 
 import (
@@ -33,35 +34,31 @@ import (
 func main() {
 	var (
 		app       = flag.String("app", "intruder", "workload preset (genome, yada, intruder, ...)")
-		tracePath = flag.String("trace", "", "replay a binary trace file instead of a preset")
 		procs     = flag.Int("procs", 8, "processor count")
 		gated     = flag.Bool("gated", false, "enable the clock-gating protocol")
 		pair      = flag.Bool("pair", false, "run both configurations and compare")
 		w0        = flag.Int64("w0", 0, "gating window constant W0 (0 = default 8)")
 		seed      = flag.Uint64("seed", 42, "workload generation seed")
-		verbose   = flag.Bool("v", false, "print per-processor statistics")
+		verbose   = flag.Bool("v", false, "print a trace summary and per-processor statistics")
 		events    = flag.Int("events", 0, "dump the first N protocol events of the run")
 		timeline  = flag.Bool("timeline", false, "print an ASCII per-processor state timeline")
 		intervals = flag.Bool("energy", false, "print the paper's interval energy decomposition (eqs. 1-5)")
 	)
 	flag.Parse()
 
+	tr, err := stamp.Generate(stamp.App(*app), *procs, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	if *verbose {
+		summarize(tr)
+		fmt.Println()
+	}
 	rs := core.RunSpec{
-		App:        stamp.App(*app),
+		Trace:      tr,
 		Processors: *procs,
 		W0:         sim.Time(*w0),
 		Seed:       *seed,
-	}
-	if *tracePath != "" {
-		data, err := os.ReadFile(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		tr, err := workload.DecodeV2Bytes(data)
-		if err != nil {
-			fatal(err)
-		}
-		rs.Trace = tr
 	}
 
 	if *pair {
@@ -149,6 +146,41 @@ func main() {
 			}
 		}
 	}
+}
+
+// summarize prints the trace's shape: its name, threads, transactions,
+// operations by kind, distinct transaction PCs and the highest line it
+// touches.
+func summarize(tr *workload.Trace) {
+	fmt.Printf("trace    %s\n", tr.Name)
+	fmt.Printf("threads  %d\n", tr.NumThreads())
+	fmt.Printf("txs      %d total\n", tr.TotalTxs())
+	reads, writes, computes := 0, 0, 0
+	distinctPCs := make(map[uint64]struct{})
+	maxLine := int64(-1)
+	for ti := range tr.Threads {
+		th := &tr.Threads[ti]
+		for xi := range th.Txs {
+			tx := &th.Txs[xi]
+			distinctPCs[tx.PC] = struct{}{}
+			for _, op := range tx.Ops {
+				switch op.Kind {
+				case workload.OpRead:
+					reads++
+				case workload.OpWrite:
+					writes++
+				case workload.OpCompute:
+					computes++
+				}
+				if op.Kind != workload.OpCompute && int64(op.Line) > maxLine {
+					maxLine = int64(op.Line)
+				}
+			}
+		}
+	}
+	fmt.Printf("ops      %d reads, %d writes, %d compute bursts\n", reads, writes, computes)
+	fmt.Printf("tx types %d distinct PCs\n", len(distinctPCs))
+	fmt.Printf("footprint lines 0..%d\n", maxLine)
 }
 
 // printIntervalDecomposition evaluates the paper's §IV interval

@@ -95,6 +95,9 @@ func main() {
 	}
 	fmt.Printf("\nmerged %d cells; byte-identical to the local run: %v\n",
 		len(merged.Outcomes), a.String() == b.String())
+	if a.String() != b.String() {
+		log.Fatal("the merged CSV differs from the local run's")
+	}
 	fmt.Println()
 	fmt.Println(merged.SummaryText())
 }

@@ -66,6 +66,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nreordered stream == batch campaign: %v\n", a.String() == b.String())
+	if a.String() != b.String() {
+		log.Fatal("the reordered stream's CSV differs from the batch campaign's")
+	}
 	fmt.Println()
 	fmt.Println(batch.SummaryText())
 }

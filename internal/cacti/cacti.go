@@ -110,29 +110,6 @@ func (c Config) TCCCachePower(resolutionBytes, sizeKB int) float64 {
 	return c.RWBitPower(resolutionBytes, sizeKB) + c.fifoPower(sizeKB) + c.controllerPower()
 }
 
-// Fig3Row is one curve point of Figure 3.
-type Fig3Row struct {
-	SizeKB          int
-	ResolutionBytes int
-	Power           float64 // normalized, base = 100
-}
-
-// Figure3 generates the full Figure 3 data set: normalized RW-bit cache
-// power for every (cache size, resolution) pair.
-func Figure3(cfg Config) []Fig3Row {
-	rows := make([]Fig3Row, 0, len(CacheSizesKB)*len(Resolutions))
-	for _, kb := range CacheSizesKB {
-		for _, res := range Resolutions {
-			rows = append(rows, Fig3Row{
-				SizeKB:          kb,
-				ResolutionBytes: res,
-				Power:           cfg.RWBitPower(res, kb),
-			})
-		}
-	}
-	return rows
-}
-
 // TCCFactor returns the power multiplier of the full TCC data cache over
 // a normal one at the given design point — the input the Table I
 // derivation consumes as Breakdown.TCCCacheFactor.

@@ -92,13 +92,12 @@ func TestBadResolutionPanics(t *testing.T) {
 }
 
 func TestFigure3Complete(t *testing.T) {
-	rows := Figure3(DefaultConfig())
-	if len(rows) != len(CacheSizesKB)*len(Resolutions) {
-		t.Fatalf("Figure3 has %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Power < BasePower || r.Power > BasePower*1.3 {
-			t.Fatalf("implausible Figure 3 point: %+v", r)
+	cfg := DefaultConfig()
+	for _, kb := range CacheSizesKB {
+		for _, res := range Resolutions {
+			if p := cfg.RWBitPower(res, kb); p < BasePower || p > BasePower*1.3 {
+				t.Fatalf("implausible Figure 3 point: %d KB at %d B resolution, power %v", kb, res, p)
+			}
 		}
 	}
 }

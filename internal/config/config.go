@@ -130,7 +130,9 @@ const (
 type Config struct {
 	Machine Machine
 	Gating  Gating
-	// Seed drives all randomness (workload generation).
+	// Seed records the seed the run's workload trace was generated
+	// with. No simulator code reads it: every trace is generated before
+	// the configuration is built (core.RunSpec, Session.provisionTrace).
 	Seed uint64
 	// MaxCycles aborts the simulation if it runs past this time; a
 	// safety net against protocol livelock. Zero means no limit.
