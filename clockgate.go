@@ -391,7 +391,9 @@ func GenerateTrace(app App, threads int, seed uint64) (*Trace, error) {
 // GenerateTraceScaled is GenerateTrace with the preset's transaction
 // count multiplied by scale (floored at threads) — the same sizing rule
 // campaign Options.Scale applies, so single experiments can reproduce a
-// campaign cell's workload exactly.
+// campaign cell's workload exactly. Scale 0 means full scale; any other
+// scale must be positive and finite, and must not size the trace beyond
+// math.MaxInt32 transactions.
 func GenerateTraceScaled(app App, threads int, seed uint64, scale float64) (*Trace, error) {
 	spec, err := experiments.ScaledSpec(app, threads, scale)
 	if err != nil {

@@ -100,11 +100,10 @@ var (
 	reprice    = flag.String("reprice", "", "re-price the cells of this checkpoint/fleet journal under -tech WITHOUT re-simulating (pure checkpoint arithmetic; combines with -detail/-summary/-csv)")
 )
 
-// positive is a flag value that holds a positive finite number. The
-// generator sizes a workload only by a positive scale and runs any other
-// at full scale, while the options fingerprint keeps the value as given,
-// so a journal written under -scale -0.05 would belong to a campaign that
-// no full-scale resume matches.
+// positive is a flag value that holds a positive finite number. A
+// campaign fails every cell on any other scale but 0, the library's
+// spelling of the default 1, so the flag refuses one while the flags
+// parse, before anything runs.
 type positive float64
 
 // positiveFlag defines a flag whose value must be a positive finite

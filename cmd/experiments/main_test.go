@@ -28,8 +28,8 @@ func parse(t *testing.T, args string) *flag.FlagSet {
 
 // TestScaleMustBePositiveFinite: -scale refuses, while the flags parse
 // and so before anything runs, every value that is not a positive finite
-// number, naming the flag. The generator would run such a scale at full
-// scale, under a campaign fingerprint of its own.
+// number, naming the flag. A campaign would fail every cell on such a
+// scale but 0, which means the default, full scale.
 func TestScaleMustBePositiveFinite(t *testing.T) {
 	for _, v := range []string{"0", "-0", "-0.05", "-1", "NaN", "+Inf", "-Inf", "1e400", "x"} {
 		err := flagSet().Parse([]string{"-summary", "-scale", v})

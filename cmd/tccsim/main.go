@@ -164,7 +164,7 @@ func summarize(tr *workload.Trace) {
 			tx := &th.Txs[xi]
 			distinctPCs[tx.PC] = struct{}{}
 			for _, op := range tx.Ops {
-				switch op.Kind {
+				switch op.Kind() {
 				case workload.OpRead:
 					reads++
 				case workload.OpWrite:
@@ -172,8 +172,8 @@ func summarize(tr *workload.Trace) {
 				case workload.OpCompute:
 					computes++
 				}
-				if op.Kind != workload.OpCompute && int64(op.Line) > maxLine {
-					maxLine = int64(op.Line)
+				if op.Kind() != workload.OpCompute && int64(op.Line()) > maxLine {
+					maxLine = int64(op.Line())
 				}
 			}
 		}

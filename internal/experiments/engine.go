@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bus"
@@ -198,16 +199,26 @@ func (o Options) workers() int {
 // count multiplied by scale, floored at threads. This is the one sizing
 // rule every campaign cell and public scaled-trace helper shares, so a
 // single experiment can reproduce a campaign cell's workload exactly.
+// Scale 0 (like 1) means full scale. Any other scale must be positive and
+// finite, and must size the trace at no more than math.MaxInt32
+// transactions; ScaledSpec returns an error naming any scale that is not.
 func ScaledSpec(app stamp.App, threads int, scale float64) (workload.Spec, error) {
 	spec, err := stamp.Spec(app)
-	if err != nil {
-		return workload.Spec{}, err
+	if err != nil || fullScale(scale) {
+		return spec, err
 	}
-	if scale > 0 && scale != 1.0 {
-		spec.TotalTxs = int(float64(spec.TotalTxs) * scale)
-		if spec.TotalTxs < threads {
-			spec.TotalTxs = threads
-		}
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return workload.Spec{}, fmt.Errorf("experiments: scale %g must be positive and finite (0 means full scale)", scale)
 	}
+	txs := float64(spec.TotalTxs) * scale
+	if txs > math.MaxInt32 {
+		return workload.Spec{}, fmt.Errorf("experiments: scale %g sizes %s at %.3g transactions, more than %d",
+			scale, app, txs, math.MaxInt32)
+	}
+	spec.TotalTxs = max(int(txs), threads)
 	return spec, nil
 }
+
+// fullScale reports whether scale leaves the presets' transaction counts
+// as they are.
+func fullScale(scale float64) bool { return scale == 0 || scale == 1 }

@@ -23,8 +23,9 @@ import (
 type Options struct {
 	// Seed drives workload generation.
 	Seed uint64
-	// Scale multiplies workload transaction counts; 1.0 is the full
-	// paper-scale campaign, smaller values give quick runs for tests.
+	// Scale multiplies workload transaction counts; 1.0 (or 0) is the
+	// full paper-scale campaign, smaller values give quick runs for
+	// tests. ScaledSpec says which scales a cell accepts.
 	Scale float64
 	// Processors overrides the paper's {4, 8, 16} sweep when non-empty.
 	Processors []int

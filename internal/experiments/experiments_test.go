@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -143,6 +145,35 @@ func TestScaleReducesWork(t *testing.T) {
 	}
 	if small.TotalTxs() >= big.TotalTxs() {
 		t.Fatalf("scale not applied: %d vs %d", small.TotalTxs(), big.TotalTxs())
+	}
+}
+
+// TestScaleRule: scale 0 means full scale, and any other scale must be
+// positive and finite and size the trace at no more than math.MaxInt32
+// transactions. ScaledSpec refuses any other scale by name, and so does
+// every cell of a session run under it: a huge scale used to overflow to
+// the threads floor, and a negative or NaN one to run at full scale.
+func TestScaleRule(t *testing.T) {
+	full := stamp.MustSpec(stamp.Intruder).TotalTxs
+	for _, tc := range []struct {
+		scale float64
+		txs   int
+	}{{0, full}, {1, full}, {0.0001, 4}, {0.05, 240}, {2.5, 12000}} {
+		spec, err := ScaledSpec(stamp.Intruder, 4, tc.scale)
+		if err != nil || spec.TotalTxs != tc.txs {
+			t.Errorf("scale %g: %d transactions, %v; want %d", tc.scale, spec.TotalTxs, err, tc.txs)
+		}
+	}
+	for _, scale := range []float64{1e19, 1e300, math.Inf(1), 1e15, -0.05, math.NaN(), math.Inf(-1)} {
+		name := fmt.Sprintf("scale %g", scale)
+		if _, err := ScaledSpec(stamp.Intruder, 4, scale); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("ScaledSpec at %s: %v, want an error naming the scale", name, err)
+		}
+		o := Options{Seed: 42, Scale: scale, Processors: []int{4}, Apps: []stamp.App{stamp.Intruder}}
+		_, err := newSession(t, o).RunCells(context.Background(), o.Cells())
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("RunCells at %s: %v, want an error naming the scale", name, err)
+		}
 	}
 }
 

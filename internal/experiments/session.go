@@ -404,11 +404,12 @@ func (s *Session) provisionTrace(c Cell) (*workload.Trace, error) {
 
 // generateCellTrace builds the cell's trace exactly as an uncached run
 // would: the plain preset for base contention at full scale, the
-// scaled/contention-shaped spec otherwise.
+// scaled/contention-shaped spec otherwise. Every scale that is not full
+// scale goes through ScaledSpec, which refuses one it cannot size a
+// trace by.
 func generateCellTrace(scale float64, c Cell) (*workload.Trace, error) {
-	scaled := scale > 0 && scale != 1.0
 	shaped := c.Contention != "" && c.Contention != ContentionBase
-	if !scaled && !shaped {
+	if fullScale(scale) && !shaped {
 		return stamp.Generate(c.App, c.Processors, c.Seed)
 	}
 	spec, err := ScaledSpec(c.App, c.Processors, scale)

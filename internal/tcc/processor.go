@@ -469,24 +469,25 @@ func (p *Processor) step() {
 			return
 		}
 		op := tx.Ops[p.opIdx]
-		switch op.Kind {
+		switch kind := op.Kind(); kind {
 		case workload.OpCompute:
-			p.pending = p.sys.eng.ScheduleAfter(sim.Time(op.Cycles), p.advanceFn)
+			p.pending = p.sys.eng.ScheduleAfter(sim.Time(op.Cycles()), p.advanceFn)
 			return
 		case workload.OpRead, workload.OpWrite:
-			write := op.Kind == workload.OpWrite
-			hit, inserted := p.accessCache(op.Line, write)
+			line := op.Line()
+			write := kind == workload.OpWrite
+			hit, inserted := p.accessCache(line, write)
 			snap := -1
 			if write {
-				p.writeSet.Add(op.Line)
-				p.announceIntent(op.Line)
-			} else if i, first := p.readSet.Add(op.Line); first {
+				p.writeSet.Add(line)
+				p.announceIntent(line)
+			} else if i, first := p.readSet.Add(line); first {
 				// Snapshot the version of the data the first time this
 				// transaction reads the line: now on a hit, from the
 				// reply on a miss.
 				p.readVersions = append(p.readVersions, 0)
 				if hit {
-					p.readVersions[i] = p.l1.Version(op.Line)
+					p.readVersions[i] = p.l1.Version(line)
 				} else {
 					snap = i
 				}
@@ -496,10 +497,10 @@ func (p *Processor) step() {
 				p.pending = p.sys.eng.ScheduleAfter(p.sys.cfg.Machine.L1HitCycles, p.advanceFn)
 				return
 			}
-			p.issueMiss(op.Line, snap, inserted)
+			p.issueMiss(line, snap, inserted)
 			return
 		default:
-			panic(fmt.Sprintf("tcc: processor %d: bad op kind %d", p.id, op.Kind))
+			panic(fmt.Sprintf("tcc: processor %d: bad op kind %d", p.id, kind))
 		}
 	}
 }

@@ -24,9 +24,8 @@ func handTrace(name string, threads ...[]workload.Transaction) *workload.Trace {
 	return tr
 }
 
-func rd(l mem.LineAddr) workload.Op { return workload.Op{Kind: workload.OpRead, Line: l} }
-func wr(l mem.LineAddr) workload.Op { return workload.Op{Kind: workload.OpWrite, Line: l} }
-func cp(n int32) workload.Op        { return workload.Op{Kind: workload.OpCompute, Cycles: n} }
+var rd, wr, cp = workload.Read, workload.Write, workload.Compute
+
 func tx(pc uint64, ops ...workload.Op) workload.Transaction {
 	return workload.Transaction{PC: pc, Ops: ops}
 }

@@ -43,12 +43,58 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one trace operation. Line is meaningful for reads and writes,
-// Cycles for compute bursts.
-type Op struct {
-	Kind   OpKind
-	Line   mem.LineAddr
-	Cycles int32
+// Op is one trace operation packed into one 64-bit word: the kind in the
+// low 2 bits, and in the upper 62 the line of a read or write, or the
+// 32 bits of a compute burst's cycle count. Read, Write and Compute
+// build an op; Kind, Line and Cycles read it back. A line must fit in 62
+// bits: at lines of 4 bytes or more, every line of a 64-bit byte address
+// space does. A generated trace is mostly ops, so an op's size sets what
+// the session's trace cache holds.
+type Op uint64
+
+const (
+	opKindBits = 2
+	opKindMask = 1<<opKindBits - 1
+	maxOpLine  = mem.LineAddr(1)<<(64-opKindBits) - 1
+)
+
+// Read returns a transactional load of line l. It panics if l does not
+// fit in 62 bits.
+func Read(l mem.LineAddr) Op { return lineOp(OpRead, l) }
+
+// Write returns a transactional store to line l. It panics if l does not
+// fit in 62 bits.
+func Write(l mem.LineAddr) Op { return lineOp(OpWrite, l) }
+
+func lineOp(k OpKind, l mem.LineAddr) Op {
+	if l > maxOpLine {
+		panic(fmt.Sprintf("workload: %s of line %d beyond the %d-bit line bound", k, l, 64-opKindBits))
+	}
+	return Op(l)<<opKindBits | Op(k)
+}
+
+// Compute returns a burst of c core-local cycles.
+func Compute(c int32) Op { return Op(uint32(c))<<opKindBits | Op(OpCompute) }
+
+// Kind returns the op's kind.
+func (op Op) Kind() OpKind { return OpKind(op & opKindMask) }
+
+// Line returns the line a read or write touches, and 0 for a compute
+// burst.
+func (op Op) Line() mem.LineAddr {
+	if op.Kind() == OpCompute {
+		return 0
+	}
+	return mem.LineAddr(op >> opKindBits)
+}
+
+// Cycles returns a compute burst's cycle count, and 0 for a read or
+// write.
+func (op Op) Cycles() int32 {
+	if op.Kind() != OpCompute {
+		return 0
+	}
+	return int32(uint32(op >> opKindBits))
 }
 
 // Transaction is one dynamic transaction instance.
@@ -75,14 +121,15 @@ func (t *Transaction) distinct(kind OpKind) []mem.LineAddr {
 	seen := make(map[mem.LineAddr]struct{})
 	var out []mem.LineAddr
 	for _, op := range t.Ops {
-		if op.Kind != kind {
+		if op.Kind() != kind {
 			continue
 		}
-		if _, ok := seen[op.Line]; ok {
+		l := op.Line()
+		if _, ok := seen[l]; ok {
 			continue
 		}
-		seen[op.Line] = struct{}{}
-		out = append(out, op.Line)
+		seen[l] = struct{}{}
+		out = append(out, l)
 	}
 	return out
 }
@@ -141,6 +188,9 @@ func (tr *Trace) Validate(geom *mem.Geometry) error {
 	if len(tr.Threads) == 0 {
 		return fmt.Errorf("workload: trace %q has no threads", tr.Name)
 	}
+	// Compare line numbers, not byte addresses: the address of a line at
+	// or beyond 2^58 (at 64-byte lines) wraps past 2^64 into memory.
+	lines := geom.TotalLines()
 	for ti := range tr.Threads {
 		th := &tr.Threads[ti]
 		if len(th.InterTx) != len(th.Txs) {
@@ -153,20 +203,20 @@ func (tr *Trace) Validate(geom *mem.Geometry) error {
 				return fmt.Errorf("workload: thread %d tx %d is empty", ti, xi)
 			}
 			for oi, op := range tx.Ops {
-				switch op.Kind {
+				switch op.Kind() {
 				case OpRead, OpWrite:
-					if uint64(geom.AddrOf(op.Line)) >= geom.MemBytes() {
+					if uint64(op.Line()) >= lines {
 						return fmt.Errorf("workload: thread %d tx %d op %d line %d outside memory",
-							ti, xi, oi, op.Line)
+							ti, xi, oi, op.Line())
 					}
 				case OpCompute:
-					if op.Cycles <= 0 {
+					if op.Cycles() <= 0 {
 						return fmt.Errorf("workload: thread %d tx %d op %d compute %d must be positive",
-							ti, xi, oi, op.Cycles)
+							ti, xi, oi, op.Cycles())
 					}
 				default:
 					return fmt.Errorf("workload: thread %d tx %d op %d has invalid kind %d",
-						ti, xi, oi, op.Kind)
+						ti, xi, oi, op.Kind())
 				}
 			}
 		}
@@ -320,7 +370,7 @@ func (s *Spec) genTx(thread int, rng *sim.RNG, zipf *sim.Zipf) Transaction {
 	}
 	for i := 0; i < nops; i++ {
 		if s.ComputeMean > 0 {
-			tx.Ops = append(tx.Ops, Op{Kind: OpCompute, Cycles: int32(rng.Geometric(s.ComputeMean))})
+			tx.Ops = append(tx.Ops, Compute(int32(rng.Geometric(s.ComputeMean))))
 		}
 		var line mem.LineAddr
 		if rng.Bool(s.HotFrac) {
@@ -328,11 +378,11 @@ func (s *Spec) genTx(thread int, rng *sim.RNG, zipf *sim.Zipf) Transaction {
 		} else {
 			line = s.privateLine(thread, rng.Intn(s.PrivateLines))
 		}
-		kind := OpRead
+		op := Read(line)
 		if rng.Bool(s.WriteFrac) {
-			kind = OpWrite
+			op = Write(line)
 		}
-		tx.Ops = append(tx.Ops, Op{Kind: kind, Line: line})
+		tx.Ops = append(tx.Ops, op)
 	}
 	return tx
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -119,18 +120,19 @@ func TestGenerateRespectsAddressLayout(t *testing.T) {
 	for ti := range tr.Threads {
 		for _, tx := range tr.Threads[ti].Txs {
 			for _, op := range tx.Ops {
-				if op.Kind == OpCompute {
+				if op.Kind() == OpCompute {
 					continue
 				}
-				if op.Line > maxLine {
-					t.Fatalf("line %d beyond layout max %d", op.Line, maxLine)
+				line := op.Line()
+				if line > maxLine {
+					t.Fatalf("line %d beyond layout max %d", line, maxLine)
 				}
 				// Non-hot lines must be in this thread's private region.
-				if int(op.Line) >= s.HotLines {
+				if int(line) >= s.HotLines {
 					lo := mem.LineAddr(s.HotLines + ti*s.PrivateLines)
 					hi := lo + mem.LineAddr(s.PrivateLines)
-					if op.Line < lo || op.Line >= hi {
-						t.Fatalf("thread %d touched foreign private line %d", ti, op.Line)
+					if line < lo || line >= hi {
+						t.Fatalf("thread %d touched foreign private line %d", ti, line)
 					}
 				}
 			}
@@ -153,14 +155,7 @@ func TestGeneratePCsWithinTypeCount(t *testing.T) {
 }
 
 func TestTransactionDistinctLines(t *testing.T) {
-	tx := Transaction{Ops: []Op{
-		{Kind: OpRead, Line: 5},
-		{Kind: OpWrite, Line: 7},
-		{Kind: OpRead, Line: 5},
-		{Kind: OpCompute, Cycles: 3},
-		{Kind: OpWrite, Line: 7},
-		{Kind: OpWrite, Line: 9},
-	}}
+	tx := Transaction{Ops: []Op{Read(5), Write(7), Read(5), Compute(3), Write(7), Write(9)}}
 	r := tx.ReadLines()
 	w := tx.WriteLines()
 	if len(r) != 1 || r[0] != 5 {
@@ -177,7 +172,7 @@ func TestTraceValidateCatchesCorruption(t *testing.T) {
 		tr := &Trace{
 			Name: "x",
 			Threads: []Thread{{
-				Txs:     []Transaction{{PC: 1, Ops: []Op{{Kind: OpRead, Line: 3}}}},
+				Txs:     []Transaction{{PC: 1, Ops: []Op{Read(3)}}},
 				InterTx: []int32{1},
 			}},
 		}
@@ -194,11 +189,12 @@ func TestTraceValidateCatchesCorruption(t *testing.T) {
 		{"no threads", func(tr *Trace) { tr.Threads = nil }},
 		{"intertx mismatch", func(tr *Trace) { tr.Threads[0].InterTx = nil }},
 		{"empty tx", func(tr *Trace) { tr.Threads[0].Txs[0].Ops = nil }},
-		{"line out of memory", func(tr *Trace) { tr.Threads[0].Txs[0].Ops[0].Line = 1 << 40 }},
-		{"bad op kind", func(tr *Trace) { tr.Threads[0].Txs[0].Ops[0].Kind = 42 }},
-		{"non-positive compute", func(tr *Trace) {
-			tr.Threads[0].Txs[0].Ops[0] = Op{Kind: OpCompute, Cycles: 0}
-		}},
+		{"line out of memory", func(tr *Trace) { tr.Threads[0].Txs[0].Ops[0] = Read(1 << 40) }},
+		// Line 2^58+3's byte address wraps past 2^64 to 192, inside
+		// memory; only the line number shows it is not.
+		{"line address wraps", func(tr *Trace) { tr.Threads[0].Txs[0].Ops[0] = Write(1<<58 + 3) }},
+		{"bad op kind", func(tr *Trace) { tr.Threads[0].Txs[0].Ops[0] = Op(3) }},
+		{"non-positive compute", func(tr *Trace) { tr.Threads[0].Txs[0].Ops[0] = Compute(0) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -226,5 +222,37 @@ func TestTotalsAndCounts(t *testing.T) {
 	}
 	if tr.Threads[0].TotalOps() <= 0 {
 		t.Fatal("thread 0 has no ops")
+	}
+}
+
+// TestOpPacking: every op reads back what built it, at the edges of the
+// 62-bit line field and of the int32 cycle count, and the field an op
+// does not use reads 0. A line that does not fit in 62 bits panics.
+func TestOpPacking(t *testing.T) {
+	for _, l := range []mem.LineAddr{0, 1, 1<<58 + 3, maxOpLine} {
+		for _, c := range []struct {
+			op   Op
+			kind OpKind
+		}{{Read(l), OpRead}, {Write(l), OpWrite}} {
+			if c.op.Kind() != c.kind || c.op.Line() != l || c.op.Cycles() != 0 {
+				t.Errorf("%s(%d) reads back %s line %d cycles %d", c.kind, l, c.op.Kind(), c.op.Line(), c.op.Cycles())
+			}
+		}
+	}
+	for _, n := range []int32{1, 3, -1, math.MaxInt32, math.MinInt32} {
+		op := Compute(n)
+		if op.Kind() != OpCompute || op.Cycles() != n || op.Line() != 0 {
+			t.Errorf("Compute(%d) reads back %s line %d cycles %d", n, op.Kind(), op.Line(), op.Cycles())
+		}
+	}
+	for _, build := range []func(mem.LineAddr) Op{Read, Write} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("line %d beyond 62 bits did not panic", maxOpLine+1)
+				}
+			}()
+			build(maxOpLine + 1)
+		}()
 	}
 }
